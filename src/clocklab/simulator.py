@@ -13,16 +13,18 @@ estimation protocols:
 * ``MBCSP`` — the distributed whole-network filter.
 
 All estimator state advances on *local* time-stamp differences only —
-no protocol code ever reads reference time — which is what makes
-trace-driven replay exact: feeding the recorded stamps back through the
-same protocol machine reproduces every estimate bit for bit.
+no protocol code ever reads reference time.  Live runs and trace replay
+share one packet dispatcher, :meth:`ProtocolMachine.deliver`: the engine
+appends each arrival to the trace and delivers that row, replay delivers
+the recorded rows, so feeding the stamps back reproduces every estimate
+bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,8 +57,6 @@ __all__ = [
     "mac_arbitrate",
     "compute_metrics",
     "run_scenario",
-    "run_protocol_ss",
-    "run_protocol_hybrid",
     "trace_replay",
     "write_metrics_csv",
     "write_trace_csv",
@@ -125,6 +125,11 @@ class Scenario:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if not (self.skew_rate > 0 and self.offset_rate > 0):
             raise ValueError("exchange rates must be positive")
+        if not self.graph.is_connected():
+            raise ValueError(
+                f"graph is not connected: some node has no path to the "
+                f"reference node 0 over edges {self.graph.edges}"
+            )
         if self.skew_gap < 1 or self.roundtrip_gap < 1:
             raise ValueError("packet separations must be at least one grid step")
         if not 0.0 < self.ss_lambda <= 1.0:
@@ -257,6 +262,11 @@ class MetricsReport:
     Keys are non-reference node ids.  Replay reports carry NaN in the
     columns that need ground truth (offset/skew and the no-sync
     baselines) since a trace records only stamps.
+
+    ``out_of_order`` counts completed skew pairs whose receive interval
+    is not positive; the same-slot pairs among them (a zero interval)
+    are skipped by the filters.  ``discarded`` counts exchanges that
+    timed out, plus later legs whose earlier leg never arrived.
     """
 
     offset_mae: dict[int, float]
@@ -276,11 +286,18 @@ def compute_metrics(ground_truth, estimates, predictions) -> MetricsReport:
     grid; ``estimates``: {node: (offset_est, skew_est)} on the same
     grid; ``predictions``: {node: [(predicted, actual), ...]} receipt
     stamps.  The no-sync columns use the zero-offset and unit-skew
-    baselines on the same grid.
+    baselines on the same grid.  Prediction errors need no ground
+    truth, so a node with empty series still gets its ``pred_mae``.
     """
     offset_mae, skew_mae, pred_mae = {}, {}, {}
     off_ns, skew_ns = {}, {}
     for node, (t, tau, skew) in ground_truth.items():
+        pairs = predictions.get(node, [])
+        if pairs:
+            arr = np.asarray(pairs, dtype=float)
+            pred_mae[node] = float(np.mean(np.abs(arr[:, 0] - arr[:, 1])))
+        else:
+            pred_mae[node] = float("nan")
         t = np.asarray(t, dtype=float)
         tau = np.asarray(tau, dtype=float)
         skew = np.asarray(skew, dtype=float)
@@ -293,19 +310,12 @@ def compute_metrics(ground_truth, estimates, predictions) -> MetricsReport:
             nan = float("nan")
             offset_mae[node] = skew_mae[node] = nan
             off_ns[node] = skew_ns[node] = nan
-            pred_mae[node] = nan
             continue
         true_off = tau - t
         offset_mae[node] = float(np.mean(np.abs(est_off - true_off)))
         skew_mae[node] = float(np.mean(np.abs(est_skew - skew)))
         off_ns[node] = float(np.mean(np.abs(true_off)))
         skew_ns[node] = float(np.mean(np.abs(skew - 1.0)))
-        pairs = predictions.get(node, [])
-        if pairs:
-            arr = np.asarray(pairs, dtype=float)
-            pred_mae[node] = float(np.mean(np.abs(arr[:, 0] - arr[:, 1])))
-        else:
-            pred_mae[node] = float("nan")
     return MetricsReport(offset_mae=offset_mae, skew_mae=skew_mae,
                          pred_mae=pred_mae, offset_nosync=off_ns,
                          skew_nosync=skew_ns)
@@ -408,12 +418,16 @@ def _staleness_predict(st: NetworkFilterState, elapsed: dict[int, float]):
     return replace(st, x_hat=g * st.x_hat, P=p_new)
 
 
+# The leg that each later packet kind completes.
+_EARLIER_LEG = {"skew-b": "skew-a", "off-rep": "off-req", "off-ack": "off-rep"}
+
+
 class ProtocolMachine:
     """All protocol state and decisions, fed by packet-arrival facts.
 
-    The engine (or the trace replayer) calls the ``*_arrived`` and
-    ``skew_complete`` handlers in arrival order; readouts never mutate
-    state, so evaluation sampling cannot perturb a run.
+    The engine and the trace replayer both pass every arrived packet to
+    :meth:`deliver` in arrival order; readouts never mutate state, so
+    evaluation sampling cannot perturb a run.
     """
 
     def __init__(self, sc: Scenario):
@@ -429,6 +443,9 @@ class ProtocolMachine:
         self.pred_pairs: dict[int, list[tuple[float, float]]] = {}
         self.completed: dict[tuple[int, int], int] = {}
         self.out_of_order = 0
+        # earlier legs of open exchanges, by (sequence number, kind)
+        self._legs: dict[tuple[int, str], object] = {}
+        self.orphans = 0
         if sc.protocol == "MBCSP":
             self.net = initial_network_state(self.params)
             self.u_node = [0.0] * (self.n + 1)
@@ -461,6 +478,46 @@ class ProtocolMachine:
             self.ratios: dict[tuple[int, int], float] = {}
             self.rel_logskew = {}
             self.w_skew = np.zeros(self.n + 1)
+
+    # --------------------------------------------------- packet dispatch
+
+    def deliver(self, row: TraceRow) -> tuple[str | None, bool]:
+        """Feed one arrived packet to the estimators.
+
+        Returns the kind of the follow-up packet that ``row.dst`` sends
+        back to ``row.src`` (None when it sends none) and whether
+        ``row.dst`` refreshed its nodal offset.  A ``skew-b``,
+        ``off-rep`` or ``off-ack`` whose earlier leg never arrived is
+        an orphan: it is counted in ``orphans`` and changes nothing.
+        """
+        kind, seq, s, r = row.kind, row.seq, row.s_stamp, row.r_stamp
+        if kind == "skew-a":
+            self._legs[seq, kind] = (s, r)
+            return None, False
+        if kind == "off-req":
+            self._legs[seq, kind] = (s, r, self.reply_payload(row.src, row.dst, s, r))
+            return "off-rep", False
+        if kind == "skew-ack":  # bookkeeping only
+            return None, False
+        if kind not in _EARLIER_LEG:
+            raise ValueError(f"unknown packet kind {kind!r}")
+        leg = self._legs.pop((seq, _EARLIER_LEG[kind]), None)
+        if leg is None:
+            self.orphans += 1
+            return None, False
+        if kind == "skew-b":
+            s0, r0 = leg
+            self.skew_complete(row.src, row.dst, s0, r0, s, r)
+            return "skew-ack", False
+        if kind == "off-rep":
+            s_i, r_ij, carried = leg
+            tau_ij = self.off_reply_arrived(row.dst, row.src, s_i, r_ij, s, r, carried)
+            if tau_ij is None:
+                return None, False
+            self._legs[seq, kind] = tau_ij
+            return "off-ack", True
+        self.off_ack_arrived(row.src, row.dst, leg, r)
+        return None, True
 
     # ----------------------------------------------------------- helpers
 
@@ -548,6 +605,8 @@ class ProtocolMachine:
             r_hat = predict_receipt(s0, r0, s1, a_hat)
             self.pred_pairs.setdefault(rcv, []).append((r_hat, r1))
         self.completed[key] = self.completed.get(key, 0) + 1
+        if r1 == r0:
+            return  # same-slot receipts: no receive interval to measure
 
         rec = StampRecord(link=key, s=(s0, s1), r=(r0, r1), kind="skew-pair")
         if self.protocol == "SS":
@@ -685,17 +744,6 @@ class _Send:
     payload: tuple = ()
 
 
-@dataclass
-class _Exchange:
-    kind: str          # "skew" | "offset"
-    src: int
-    dst: int
-    xid: int
-    deadline: int
-    stage: dict = field(default_factory=dict)
-    dead: bool = False
-
-
 def _clock_tables(sc: Scenario, seeds):
     """Ground-truth display/skew tables per node on the full grid."""
     displays, skews = [], []
@@ -733,9 +781,9 @@ def run_scenario(sc: Scenario):
     dlinks = sc.directed_links
     machine = ProtocolMachine(sc)
     trace: list[TraceRow] = []
-    exchanges: dict[int, _Exchange] = {}
+    deadlines: dict[int, int] = {}  # open exchange id -> last arrival slot
     collisions = 0
-    discarded = 0
+    timeouts = 0
     timeout_slots = max(1, int(round(10.0 * sc.delay.mean / sc.dt)))
 
     p_skew = sc.skew_rate * len(dlinks) * sc.dt
@@ -772,59 +820,29 @@ def run_scenario(sc: Scenario):
         ))
 
     def handle_arrival(slot, send: _Send):
-        nonlocal discarded
-        ex = exchanges.get(send.xid)
-        if ex is None or ex.dead:
+        nonlocal timeouts
+        deadline = deadlines.get(send.xid)
+        if deadline is None:
             return
-        if slot > ex.deadline:
-            ex.dead = True
-            discarded += 1
+        if slot > deadline:
+            del deadlines[send.xid]
+            timeouts += 1
             return
-        r_stamp = stamp(send.dst, slot)
         s_stamp, send_slot, delay_t = send.payload
-        trace.append(TraceRow(
+        row = TraceRow(
             kind=send.kind, src=send.src, dst=send.dst, seq=send.xid,
-            s_stamp=s_stamp, r_stamp=r_stamp,
+            s_stamp=s_stamp, r_stamp=stamp(send.dst, slot),
             true_send_t=send_slot * sc.dt, true_delay=delay_t,
-        ))
-        if send.kind == "skew-a":
-            ex.stage["a"] = (s_stamp, r_stamp)
-        elif send.kind == "skew-b":
-            if "a" not in ex.stage:
-                ex.dead = True
-                discarded += 1
-                return
-            s0, r0 = ex.stage["a"]
-            machine.skew_complete(ex.src, ex.dst, s0, r0, s_stamp, r_stamp)
-            push(slot + 1, "send", _Send(ex.dst, ex.src, "skew-ack", ex.xid))
-            ex.stage["done"] = True
-        elif send.kind == "skew-ack":
-            ex.dead = True  # exchange closed; the ACK carries bookkeeping only
-        elif send.kind == "off-req":
-            carried = machine.reply_payload(ex.src, ex.dst, s_stamp, r_stamp)
-            ex.stage["req"] = (s_stamp, r_stamp)
-            ex.stage["carried"] = carried
-            push(slot + sc.roundtrip_gap, "send",
-                 _Send(ex.dst, ex.src, "off-rep", ex.xid))
-        elif send.kind == "off-rep":
-            if "req" not in ex.stage:
-                ex.dead = True
-                discarded += 1
-                return
-            s_i, r_ij = ex.stage["req"]
-            tau_ij = machine.off_reply_arrived(
-                ex.src, ex.dst, s_i, r_ij, s_stamp, r_stamp, ex.stage["carried"]
-            )
-            if tau_ij is not None:
-                ex.stage["tau"] = tau_ij
-                record_sample(ex.src, slot)
-                push(slot + 1, "send", _Send(ex.src, ex.dst, "off-ack", ex.xid))
-            else:
-                ex.dead = True
-        elif send.kind == "off-ack":
-            machine.off_ack_arrived(ex.src, ex.dst, ex.stage["tau"], r_stamp)
-            record_sample(ex.dst, slot)
-            ex.dead = True
+        )
+        trace.append(row)
+        reply, refreshed = machine.deliver(row)
+        if refreshed:
+            record_sample(row.dst, slot)
+        if reply is not None:
+            gap = sc.roundtrip_gap if reply == "off-rep" else 1
+            push(slot + gap, "send", _Send(row.dst, row.src, reply, row.seq))
+        elif row.kind != "skew-a":  # after skew-a, skew-b is still to come
+            del deadlines[row.seq]
 
     while heap:
         slot = heap[0][0]
@@ -843,27 +861,21 @@ def run_scenario(sc: Scenario):
             handle_arrival(slot, send)
         for kind in starts:
             p_kind = p_skew if kind == "start-skew" else p_off
-            link = dlinks[int(rng_sched.integers(len(dlinks)))]
+            src, dst = dlinks[int(rng_sched.integers(len(dlinks)))]
             xid_counter += 1
-            ex = _Exchange(kind.removeprefix("start-"), link[0], link[1],
-                           xid_counter, deadline=slot + timeout_slots)
-            exchanges[ex.xid] = ex
-            if ex.kind == "skew":
-                sends.append(_Send(ex.src, ex.dst, "skew-a", ex.xid))
-                push(slot + sc.skew_gap, "send", _Send(ex.src, ex.dst, "skew-b", ex.xid))
+            deadlines[xid_counter] = slot + timeout_slots
+            if kind == "start-skew":
+                sends.append(_Send(src, dst, "skew-a", xid_counter))
+                push(slot + sc.skew_gap, "send", _Send(src, dst, "skew-b", xid_counter))
             else:
-                sends.append(_Send(ex.src, ex.dst, "off-req", ex.xid))
+                sends.append(_Send(src, dst, "off-req", xid_counter))
             push(slot + int(rng_sched.geometric(p_kind)), kind, None)
         if sends:
-            live = []
-            for s in sends:
-                ex = exchanges.get(s.xid)
-                if ex is not None and not ex.dead:
-                    live.append(s)
+            live = [s for s in sends if s.xid in deadlines]
             admitted, dropped = mac_arbitrate(live, rng_mac)
             collisions += len(dropped)
             for s in dropped:
-                exchanges[s.xid].dead = True
+                del deadlines[s.xid]
             for s in sorted(admitted, key=lambda x: x.xid):
                 delay_t = float(draw_delay(sc.delay, rng_delay))
                 dslots = max(1, int(round(delay_t / sc.dt)))
@@ -879,18 +891,9 @@ def run_scenario(sc: Scenario):
         estimates[m] = (arr[:, 3], arr[:, 4])
     report = compute_metrics(ground_truth, estimates, machine.pred_pairs)
     report = replace(report, collisions=collisions,
-                     out_of_order=machine.out_of_order, discarded=discarded)
+                     out_of_order=machine.out_of_order,
+                     discarded=timeouts + machine.orphans)
     return report, trace
-
-
-def run_protocol_ss(sc: Scenario):
-    """The exponential-forgetting baseline on the given scenario."""
-    return run_scenario(replace(sc, protocol="SS"))
-
-
-def run_protocol_hybrid(sc: Scenario):
-    """Per-link filters plus smoothing on the given scenario."""
-    return run_scenario(replace(sc, protocol="Hybrid"))
 
 
 # --------------------------------------------------------------------------
@@ -902,54 +905,14 @@ def trace_replay(rows, sc: Scenario) -> MetricsReport:
     """Re-run the protocol machine over recorded stamps only.
 
     Reproduces the live run's estimates and prediction errors exactly
-    (same machine, same call sequence, same quantized stamps).  Ground
-    truth is unavailable from a trace, so the offset/skew MAE columns
-    are NaN; an empty trace yields an empty report.
+    (the same rows through the same :meth:`ProtocolMachine.deliver`).
+    Ground truth is unavailable from a trace, so the offset/skew MAE
+    columns are NaN; an empty trace yields an empty report.
     """
     machine = ProtocolMachine(sc)
-    pend_a: dict[tuple[int, int, int], tuple[float, float]] = {}
-    pend_req: dict[tuple[int, int, int], tuple[float, float, float | None]] = {}
-    pend_tau: dict[tuple[int, int, int], float] = {}
     for row in rows:
-        key = (row.src, row.dst, row.seq)
-        if row.kind == "skew-a":
-            pend_a[key] = (row.s_stamp, row.r_stamp)
-        elif row.kind == "skew-b":
-            if key in pend_a:
-                s0, r0 = pend_a.pop(key)
-                machine.skew_complete(row.src, row.dst, s0, r0,
-                                      row.s_stamp, row.r_stamp)
-        elif row.kind == "off-req":
-            carried = machine.reply_payload(row.src, row.dst,
-                                            row.s_stamp, row.r_stamp)
-            pend_req[key] = (row.s_stamp, row.r_stamp, carried)
-        elif row.kind == "off-rep":
-            back = (row.dst, row.src, row.seq)
-            if back in pend_req:
-                s_i, r_ij, carried = pend_req.pop(back)
-                tau_ij = machine.off_reply_arrived(
-                    row.dst, row.src, s_i, r_ij, row.s_stamp, row.r_stamp, carried
-                )
-                if tau_ij is not None:
-                    pend_tau[back] = tau_ij
-        elif row.kind == "off-ack":
-            if key in pend_tau:
-                machine.off_ack_arrived(row.src, row.dst, pend_tau.pop(key),
-                                        row.r_stamp)
-        # skew-ack carries nothing the estimators use
-    nan = float("nan")
+        machine.deliver(row)
     nodes = range(1, sc.graph.n + 1)
-    pred = {}
-    for m in nodes:
-        pairs = machine.pred_pairs.get(m, [])
-        if pairs:
-            arr = np.asarray(pairs)
-            pred[m] = float(np.mean(np.abs(arr[:, 0] - arr[:, 1])))
-        else:
-            pred[m] = nan
-    return MetricsReport(
-        offset_mae={m: nan for m in nodes}, skew_mae={m: nan for m in nodes},
-        pred_mae=pred, offset_nosync={m: nan for m in nodes},
-        skew_nosync={m: nan for m in nodes},
-        out_of_order=machine.out_of_order,
-    )
+    report = compute_metrics({m: ((), (), ()) for m in nodes},
+                             {m: ((), ()) for m in nodes}, machine.pred_pairs)
+    return replace(report, out_of_order=machine.out_of_order)

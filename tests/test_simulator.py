@@ -5,8 +5,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clocklab.measurement import DelayModel
+from clocklab.measurement import DELAY_KINDS, DelayModel
 from clocklab.simulator import (
     PROTOCOLS,
     TRACE_HEADER,
@@ -19,8 +21,6 @@ from clocklab.simulator import (
     quantize_stamp,
     read_scenario,
     read_trace_csv,
-    run_protocol_hybrid,
-    run_protocol_ss,
     run_scenario,
     trace_replay,
     write_metrics_csv,
@@ -68,6 +68,9 @@ def test_scenario_validation():
         two_node(ss_lambda=0.0)
     with pytest.raises(ValueError, match="too high for the grid step"):
         two_node(skew_rate=1e5)
+    with pytest.raises(ValueError, match="graph is not connected"):
+        two_node(graph=SyncGraph(n=3, edges=((0, 1), (2, 3))),
+                 epsilons=(0.0, 1.0, 1.0, 1.0))
 
 
 def test_scenario_derived_properties():
@@ -230,6 +233,9 @@ def test_compute_metrics_perfect_and_missing():
 def test_compute_metrics_empty_and_mismatch():
     rep = compute_metrics({1: ([], [], [])}, {1: ([], [])}, {})
     assert math.isnan(rep.offset_mae[1]) and math.isnan(rep.skew_mae[1])
+    # prediction errors need no ground truth
+    rep = compute_metrics({1: ([], [], [])}, {1: ([], [])}, {1: [(1.0, 1.5)]})
+    assert rep.pred_mae[1] == 0.5 and math.isnan(rep.offset_mae[1])
     with pytest.raises(ValueError, match="length mismatch .* node 3"):
         compute_metrics({3: ([0.0], [0.0], [1.0])}, {3: ([], [])}, {})
 
@@ -307,6 +313,15 @@ def test_out_of_order_counter():
     assert m.out_of_order == 1
 
 
+@pytest.mark.parametrize("proto", PROTOCOLS)
+def test_same_slot_receipts_skip_the_measurement(proto):
+    m = ProtocolMachine(two_node(protocol=proto))
+    m.skew_complete(0, 1, 0.0, 1.5, 1.0, 1.5)  # SS would take log(0)
+    assert m.out_of_order == 1
+    assert m.completed[(0, 1)] == 1
+    assert m.nodal_skew(1, 1.5) == ProtocolMachine(m.sc).nodal_skew(1, 1.5)
+
+
 def test_machine_rejects_unknown_link():
     sc = Scenario(graph=LINE3, alpha=10.0, epsilons=(0.0, 1.0, 1.0),
                   delay=DELAY, protocol="Hybrid")
@@ -340,15 +355,6 @@ def test_run_is_deterministic(tmp_path):
     assert (rep1.collisions, rep1.discarded) == (rep2.collisions, rep2.discarded)
     rep3, tr3 = run_scenario(replace(sc, seed=12))
     assert tr3 != tr1
-
-
-def test_wrappers_set_protocol():
-    sc = two_node()
-    rep_ss, _ = run_protocol_ss(sc)
-    rep_hy, _ = run_protocol_hybrid(sc)
-    rep_ss2, _ = run_scenario(replace(sc, protocol="SS"))
-    assert rep_ss.skew_mae == rep_ss2.skew_mae
-    assert rep_hy.skew_mae != rep_ss.skew_mae
 
 
 def test_two_node_hybrid_reduces_to_network_filter(tmp_path):
@@ -399,6 +405,63 @@ def test_replay_tolerates_empty_and_orphan_rows():
               TraceRow("off-ack", 0, 1, 7, 0.0, 0.1)]
     rep = trace_replay(orphan, sc)
     assert math.isnan(rep.pred_mae[1])
+    m = ProtocolMachine(sc)
+    assert [m.deliver(row) for row in orphan] == [(None, False)] * 3
+    assert m.orphans == 3
+    with pytest.raises(ValueError, match="unknown packet kind 'sync'"):
+        m.deliver(TraceRow("sync", 0, 1, 6, 0.0, 0.1))
+
+
+def assert_replay_exact(live, trace, sc, path):
+    write_trace_csv(trace, path)
+    rep = trace_replay(read_trace_csv(path), sc)
+    assert {m: v.hex() for m, v in rep.pred_mae.items()} == \
+        {m: v.hex() for m, v in live.pred_mae.items()}
+    assert rep.out_of_order == live.out_of_order
+
+
+LINE4 = SyncGraph(n=3, edges=((0, 1), (1, 2), (2, 3)))
+
+
+# Runs that deliver both packets of one skew pair in the same slot.  SS
+# replies differently, so with skew gap 2 and seed 1 it meets no such pair.
+SAME_SLOT_RUNS = [(1, 2, p) for p in PROTOCOLS] + [(2, 1, "Hybrid"), (2, 1, "MBCSP")]
+
+
+@pytest.mark.parametrize("skew_gap, seed, proto", SAME_SLOT_RUNS)
+def test_same_slot_receipts_do_not_stop_a_run(tmp_path, skew_gap, seed, proto):
+    sc = Scenario(graph=LINE4, alpha=10.0, epsilons=(0.0, 1.0, 1.0, 1.0),
+                  delay=DelayModel(kind="truncated-normal", mean=5e-3, spread=3e-3),
+                  horizon=2.0, skew_rate=20.0, offset_rate=20.0,
+                  skew_gap=skew_gap, seed=seed, protocol=proto)
+    live, trace = run_scenario(sc)
+    assert live.out_of_order >= 1
+    assert_replay_exact(live, trace, sc, tmp_path / "trace.csv")
+
+
+@st.composite
+def small_scenarios(draw):
+    n = draw(st.integers(1, 4))  # non-reference nodes
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n + 1)}  # a tree
+    extra = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=3))
+    edges |= {(i, j) for i, j in extra if i < j}
+    kind = draw(st.sampled_from(DELAY_KINDS))
+    spread = draw(st.sampled_from((5e-5, 1e-3, 3e-3)))
+    return Scenario(graph=SyncGraph(n=n, edges=sorted(edges)), alpha=10.0,
+                    epsilons=(0.0,) + (1.0,) * n,
+                    delay=DelayModel(kind=kind, mean=5e-3, spread=spread),
+                    dt=1e-4, horizon=0.5, skew_rate=20.0, offset_rate=20.0,
+                    skew_gap=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sc=small_scenarios())
+def test_valid_scenarios_run_and_replay_exactly(tmp_path_factory, sc):
+    path = tmp_path_factory.mktemp("replay") / "trace.csv"
+    for proto in PROTOCOLS:
+        sc_p = replace(sc, protocol=proto)
+        live, trace = run_scenario(sc_p)
+        assert_replay_exact(live, trace, sc_p, path)
 
 
 def test_congested_link_counts_collisions():
