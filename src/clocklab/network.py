@@ -125,11 +125,16 @@ def net_predict(st: NetworkFilterState, dt: float) -> NetworkFilterState:
 
 
 def _innovation_stats(st: NetworkFilterState, m: Measurement):
+    """Endpoint state indices ``ks``, their selector entries, ``P M``,
+    ``c_k`` and the innovation.  ``M`` is zero off the link, so ``P M``
+    needs only the endpoints' columns: O(n)."""
     sel = measurement_selector(m.link, st.n)
-    pm = st.P @ sel
-    c_k = float(sel @ pm) + m.sigma2
-    innovation = m.y - float(sel @ st.x_hat)
-    return sel, pm, c_k, innovation
+    ks = np.flatnonzero(sel)
+    s = sel[ks]
+    pm = st.P[:, ks] @ s
+    c_k = float(s @ pm[ks]) + m.sigma2
+    innovation = m.y - float(s @ st.x_hat[ks])
+    return ks, pm, c_k, innovation
 
 
 def net_update_optimal(st: NetworkFilterState, m: Measurement) -> NetworkFilterState:
@@ -139,7 +144,7 @@ def net_update_optimal(st: NetworkFilterState, m: Measurement) -> NetworkFilterS
     (componentwise ``(P_mj - P_mi)/c_k``); the covariance loses the
     rank-one term ``(P M)(P M)'/c_k``, so its trace never increases.
     """
-    sel, pm, c_k, innovation = _innovation_stats(st, m)
+    _, pm, c_k, innovation = _innovation_stats(st, m)
     if c_k <= 0:
         raise ValueError(f"covariance degenerate: c_k={c_k!r}")
     p_new = st.P - np.outer(pm, pm) / c_k
@@ -158,20 +163,27 @@ def net_update_distributed(st: NetworkFilterState, m: Measurement) -> NetworkFil
     covariance follows the symmetric (Joseph-type) form
     ``P+ = (I - K M') P (I - K M')' + sigma2 K K'``, valid for any
     gain; diagonal entries at the endpoints can only decrease.
+
+    Expanded, that form is the rank-2 update
+    ``P - K pm' - pm K' + c_k K K'`` with ``pm = P M``.  K is zero off
+    the link, so only the endpoints' rows and columns change: they are
+    computed as rows, in O(n), and copied onto the columns, which keeps
+    ``P`` exactly symmetric.  The rest of ``P`` is copied unchanged
+    into the returned state.
     """
-    sel, pm, c_k, innovation = _innovation_stats(st, m)
+    ks, pm, c_k, innovation = _innovation_stats(st, m)
     if c_k <= 0:
         raise ValueError(f"covariance degenerate: c_k={c_k!r}")
-    gain = np.zeros(st.n)
-    mask = sel != 0.0
-    gain[mask] = pm[mask] / c_k
-    imk = np.eye(st.n) - np.outer(gain, sel)
-    p_new = imk @ st.P @ imk.T + m.sigma2 * np.outer(gain, gain)
-    return replace(
-        st,
-        x_hat=st.x_hat + gain * innovation,
-        P=0.5 * (p_new + p_new.T),
-    )
+    gain = pm[ks] / c_k
+    rows = st.P[ks, :] - np.outer(gain, pm)
+    block = rows[:, ks] - np.outer(pm[ks], gain) + c_k * np.outer(gain, gain)
+    rows[:, ks] = 0.5 * (block + block.T)
+    p_new = st.P.copy()
+    p_new[ks, :] = rows
+    p_new[:, ks] = rows.T
+    x_new = st.x_hat.copy()
+    x_new[ks] += gain * innovation
+    return replace(st, x_hat=x_new, P=p_new)
 
 
 def nodal_skew_estimate(st: NetworkFilterState, i: int, t: float) -> float:

@@ -45,7 +45,12 @@ from clocklab.network import (
     nodal_skew_estimate,
     relative_skew_readout,
 )
-from clocklab.smoothing import RelativeEstimates, SyncGraph, jacobi_step
+from clocklab.smoothing import SyncGraph
+
+# Not called here: the per-layer trace of perfbench/tracing.py wraps these
+# names on this module, and a zero call count shows the machine relaxes
+# from its stored adjacency.
+from clocklab.smoothing import RelativeEstimates, jacobi_step  # noqa: F401
 
 __all__ = [
     "PROTOCOLS",
@@ -405,17 +410,70 @@ def _staleness_predict(st: NetworkFilterState, elapsed: dict[int, float]):
     differences.  Each named row decays by its own factor and collects
     its own process noise; unnamed rows are left stale, to be advanced
     when they next participate.
+
+    With ``g`` the decay factors (1 on unnamed rows), named row k
+    becomes ``P[k, :] * (g[k] * g)``, is copied onto column k, and then
+    ``P[k, k]`` gains the process noise: entry for entry this is
+    ``P * outer(g, g) + diag(noise)`` for a symmetric ``P``, at
+    O(n * len(elapsed)) arithmetic on top of copying ``P``.
     """
     g = np.ones(st.n)
-    add = np.zeros(st.n)
+    noise = {}
     for k in sorted(elapsed):
-        d = elapsed[k]
-        decay = np.exp(-st.alpha * d)
+        decay = np.exp(-st.alpha * elapsed[k])
         g[k] = decay
         e_m = st.params[k + 1].epsilon ** 2 / (2.0 * st.alpha)
-        add[k] = e_m * (1.0 - decay * decay)
-    p_new = st.P * np.outer(g, g) + np.diag(add)
+        noise[k] = e_m * (1.0 - decay * decay)
+    p_new = st.P.copy()
+    for k in noise:
+        p_new[k, :] = p_new[:, k] = st.P[k, :] * (g[k] * g)
+    for k, add in noise.items():
+        p_new[k, k] += add
     return replace(st, x_hat=g * st.x_hat, P=p_new)
+
+
+def _advanced(fs: NetworkFilterState, loc, last, now: dict[int, float]):
+    """``fs`` with the rows of the nodes in ``now`` advanced from their
+    last update stamps ``last[m]`` to the local stamps ``now[m]``;
+    ``loc`` maps node ids to the filter's numbering (0: reference)."""
+    return _staleness_predict(fs, {
+        loc[m] - 1: max(0.0, stamp - last[m]) for m, stamp in now.items() if loc[m] > 0
+    })
+
+
+class _LinkValues:
+    """Relative values per directed link, with each node's links.
+
+    ``incident[node]`` lists the stored links that touch ``node`` in
+    the order they were first stored, which is the order in which
+    ``SyncGraph(edges=tuple(values))`` would list them.
+    """
+
+    def __init__(self) -> None:
+        self.values: dict[tuple[int, int], float] = {}
+        self.incident: dict[int, list[tuple[int, int]]] = {}
+
+    def store(self, link: tuple[int, int], value: float) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"estimate on edge {link} must be finite, got {value!r}")
+        if link not in self.values:
+            for node in link:
+                self.incident.setdefault(node, []).append(link)
+        self.values[link] = value
+
+    def relax(self, node: int, v: np.ndarray) -> None:
+        """Set ``v[node]`` to :func:`~clocklab.smoothing.jacobi_step` over
+        the stored links: the mean over incident links of the neighbour's
+        value plus the link value oriented toward ``node``.  Nodes with
+        no stored link, and the reference, keep their value."""
+        links = self.incident.get(node)
+        if node == 0 or not links:
+            return
+        total = 0.0
+        for (i, j) in links:
+            value = self.values[i, j]
+            total += v[i] + value if j == node else v[j] - value
+        v[node] = total / len(links)
 
 
 # The leg that each later packet kind completes.
@@ -436,7 +494,7 @@ class ProtocolMachine:
         self.params = sc.params
         self.protocol = sc.protocol
         # relative-offset bookkeeping (identical for all protocols)
-        self.rel_off: dict[tuple[int, int], float] = {}
+        self.rel_off = _LinkValues()
         self.v_off = np.zeros(self.n + 1)
         self.u_off = [0.0] * (self.n + 1)
         # prediction records and counters
@@ -471,12 +529,17 @@ class ProtocolMachine:
                     )
                     self.loc[(i, j)] = {i: 1, j: 2}
                 self.u_link[(i, j)] = {i: 0.0, j: 0.0}
-            self.rel_logskew: dict[tuple[int, int], float] = {}
+            # each node's links, in graph order
+            self.links_at: dict[int, list[tuple[int, int]]] = {}
+            for edge in self.links:
+                for node in edge:
+                    self.links_at.setdefault(node, []).append(edge)
+            self.rel_logskew = _LinkValues()
             self.w_skew = np.zeros(self.n + 1)
             self.u_skew = [0.0] * (self.n + 1)
         else:  # SS
             self.ratios: dict[tuple[int, int], float] = {}
-            self.rel_logskew = {}
+            self.rel_logskew = _LinkValues()
             self.w_skew = np.zeros(self.n + 1)
 
     # --------------------------------------------------- packet dispatch
@@ -522,37 +585,45 @@ class ProtocolMachine:
     # ----------------------------------------------------------- helpers
 
     def _edge_of(self, a: int, b: int) -> tuple[int, int]:
-        for e in self.sc.graph.edges:
+        for e in self.links_at.get(a, ()):
             if e == (a, b) or e == (b, a):
                 return e
         raise ValueError(f"no edge between {a} and {b}")
 
+    def _link_state(self, i: int, j: int, now: dict[int, float]):
+        """A filter state holding nodes i and j, with the rows of the
+        nodes in ``now`` advanced to those local stamps, and ``loc``
+        mapping node ids to its own numbering.
 
-    def _jacobi(self, node: int, values: dict, v: np.ndarray) -> None:
-        if node == 0 or not values:
-            return
-        edges = tuple(values.keys())
-        if not any(node in e for e in edges):
-            return
-        g = SyncGraph(n=self.n, edges=edges)
-        v[node] = jacobi_step(node, v, g, RelativeEstimates(dict(values)))
+        For MBCSP this is the network filter restricted to the two
+        nodes: staleness acts entry by entry, so the restriction
+        advanced holds the same values as the whole filter advanced, at
+        O(1) cost.  For Hybrid it is the filter of the link between them.
+        """
+        if self.protocol == "Hybrid":
+            edge = self._edge_of(i, j)
+            loc = self.loc[edge]
+            return _advanced(self.links[edge], loc, self.u_link[edge], now), loc
+        st = self.net
+        nodes = [m for m in (i, j) if m != 0]
+        ks = [m - 1 for m in nodes]
+        fs = replace(st, x_hat=st.x_hat[ks], P=st.P[ks][:, ks],
+                     params=(st.params[0], *(st.params[m] for m in nodes)))
+        loc = {0: 0, **{m: r for r, m in enumerate(nodes, 1)}}
+        return _advanced(fs, loc, self.u_node, now), loc
+
+    def _relative_skew(self, i: int, j: int, now_i: float, now_j: float,
+                       t_proxy: float) -> tuple[float, float, float]:
+        fs, loc = self._link_state(i, j, {i: now_i, j: now_j})
+        return relative_skew_readout(fs, loc[i], loc[j], t_proxy)
 
     # --------------------------------------------------- skew estimation
 
     def directed_skew(self, i: int, j: int, now_i: float, now_j: float,
                       t_proxy: float) -> float:
         """Current estimate of a_ij = a_j/a_i, staleness-adjusted."""
-        if self.protocol == "MBCSP":
-            tmp = _staleness_predict(self.net, self._elapsed_net({i: now_i, j: now_j}))
-            return relative_skew_readout(tmp, i, j, t_proxy)[0]
-        if self.protocol == "Hybrid":
-            edge = self._edge_of(i, j)
-            tmp = _staleness_predict(
-                self.links[edge], self._elapsed_link(edge, {i: now_i, j: now_j})
-            )
-            return relative_skew_readout(
-                tmp, self.loc[edge][i], self.loc[edge][j], t_proxy
-            )[0]
+        if self.protocol != "SS":
+            return self._relative_skew(i, j, now_i, now_j, t_proxy)[0]
         # SS: held ratio, either direction
         if (i, j) in self.ratios:
             return self.ratios[(i, j)]
@@ -563,36 +634,13 @@ class ProtocolMachine:
     def symmetric_skew(self, i: int, j: int, now_i: float, now_j: float,
                        t_proxy: float) -> float | None:
         """Symmetrized a_ij estimate (SS: the raw held ratio; None if unset)."""
-        if self.protocol == "SS":
-            if (i, j) in self.ratios:
-                return self.ratios[(i, j)]
-            if (j, i) in self.ratios:
-                return 1.0 / self.ratios[(j, i)]
-            return None
-        if self.protocol == "MBCSP":
-            tmp = _staleness_predict(self.net, self._elapsed_net({i: now_i, j: now_j}))
-            return relative_skew_readout(tmp, i, j, t_proxy)[2]
-        edge = self._edge_of(i, j)
-        tmp = _staleness_predict(
-            self.links[edge], self._elapsed_link(edge, {i: now_i, j: now_j})
-        )
-        return relative_skew_readout(
-            tmp, self.loc[edge][i], self.loc[edge][j], t_proxy
-        )[2]
-
-    def _elapsed_net(self, now: dict[int, float]) -> dict[int, float]:
-        return {
-            m - 1: max(0.0, stamp - self.u_node[m])
-            for m, stamp in now.items() if m != 0
-        }
-
-    def _elapsed_link(self, edge, now: dict[int, float]) -> dict[int, float]:
-        out = {}
-        for m, stamp in now.items():
-            fid = self.loc[edge][m]
-            if fid > 0:
-                out[fid - 1] = max(0.0, stamp - self.u_link[edge][m])
-        return out
+        if self.protocol != "SS":
+            return self._relative_skew(i, j, now_i, now_j, t_proxy)[2]
+        if (i, j) in self.ratios:
+            return self.ratios[(i, j)]
+        if (j, i) in self.ratios:
+            return 1.0 / self.ratios[(j, i)]
+        return None
 
     def skew_complete(self, snd: int, rcv: int, s0: float, r0: float,
                       s1: float, r1: float) -> None:
@@ -614,8 +662,8 @@ class ProtocolMachine:
             prev = self.ratios.get(key)
             lam = self.sc.ss_lambda
             self.ratios[key] = ratio if prev is None else (1 - lam) * prev + lam * ratio
-            self.rel_logskew[key] = math.log(self.ratios[key])
-            self._jacobi(rcv, self.rel_logskew, self.w_skew)
+            self.rel_logskew.store(key, math.log(self.ratios[key]))
+            self.rel_logskew.relax(rcv, self.w_skew)
             return
         m = skew_measurement(
             rec, self.params[snd], self.params[rcv],
@@ -623,9 +671,9 @@ class ProtocolMachine:
             floor=self.sc.noise_floor,
         )
         if self.protocol == "MBCSP":
-            self.net = _staleness_predict(
-                self.net, self._elapsed_net({snd: s1, rcv: r1})
-            )
+            # node ids are the network filter's own numbering
+            self.net = _advanced(self.net, range(self.n + 1), self.u_node,
+                                 {snd: s1, rcv: r1})
             self.net = net_update_distributed(self.net, m)
             if snd != 0:
                 self.u_node[snd] = s1
@@ -635,9 +683,8 @@ class ProtocolMachine:
         # Hybrid: restricted per-link filter, then spatial smoothing of
         # the link estimates into nodal log-skews.
         edge = self._edge_of(snd, rcv)
-        fs = _staleness_predict(
-            self.links[edge], self._elapsed_link(edge, {snd: s1, rcv: r1})
-        )
+        fs = _advanced(self.links[edge], self.loc[edge], self.u_link[edge],
+                       {snd: s1, rcv: r1})
         fs = net_update_distributed(
             fs, replace(m, link=(self.loc[edge][snd], self.loc[edge][rcv]))
         )
@@ -648,10 +695,10 @@ class ProtocolMachine:
             float(fs.x_hat[fid - 1]) if fid > 0 else 0.0
             for fid in (self.loc[edge][edge[0]], self.loc[edge][edge[1]])
         )
-        self.rel_logskew[edge] = xj - xi
+        self.rel_logskew.store(edge, xj - xi)
         for node, stamp in ((snd, s1), (rcv, r1)):
             if node != 0:
-                self._jacobi(node, self.rel_logskew, self.w_skew)
+                self.rel_logskew.relax(node, self.w_skew)
                 self.u_skew[node] = stamp
 
     # -------------------------------------------------- offset estimation
@@ -681,16 +728,16 @@ class ProtocolMachine:
         rec = StampRecord(link=(i, j), s=(s_i, s_j), r=(r_ij, r_ji),
                           kind="offset-roundtrip")
         tau_ij, _, _ = offset_delay_estimate(rec, a_ij, a_ji)
-        self.rel_off[(i, j)] = tau_ij
-        self._jacobi(i, self.rel_off, self.v_off)
+        self.rel_off.store((i, j), tau_ij)
+        self.rel_off.relax(i, self.v_off)
         if i != 0:
             self.u_off[i] = r_ji
         return tau_ij
 
     def off_ack_arrived(self, i: int, j: int, tau_ij: float, r_ack: float) -> None:
         """Initiator's ACK reached the replier: mirror the offset."""
-        self.rel_off[(j, i)] = -tau_ij
-        self._jacobi(j, self.rel_off, self.v_off)
+        self.rel_off.store((j, i), -tau_ij)
+        self.rel_off.relax(j, self.v_off)
         if j != 0:
             self.u_off[j] = r_ack
 
@@ -700,16 +747,15 @@ class ProtocolMachine:
         if m == 0:
             return 1.0
         if self.protocol == "MBCSP":
-            tmp = _staleness_predict(self.net, self._elapsed_net({m: tau_now}))
-            return nodal_skew_estimate(tmp, m, tau_now)
+            fs, loc = self._link_state(0, m, {m: tau_now})
+            return nodal_skew_estimate(fs, loc[m], tau_now)
         if self.protocol == "Hybrid":
             d = max(0.0, tau_now - self.u_skew[m])
             decay = np.exp(-self.sc.alpha * d)
             variances = []
-            for edge, fs in self.links.items():
-                if m not in edge:
-                    continue
-                tmp = _staleness_predict(fs, self._elapsed_link(edge, {m: tau_now}))
+            for edge in self.links_at.get(m, ()):
+                tmp = _advanced(self.links[edge], self.loc[edge], self.u_link[edge],
+                                {m: tau_now})
                 if 0 in edge:
                     variances.append(float(tmp.P[0, 0]))
                 else:
@@ -721,11 +767,11 @@ class ProtocolMachine:
             )
         return float(np.exp(self.w_skew[m]))
 
-    def offset_estimate(self, m: int, tau_now: float) -> float:
-        """Smoothed nodal offset, drift-extrapolated by the nodal skew."""
+    def offset_estimate(self, m: int, tau_now: float, a_m: float) -> float:
+        """Smoothed nodal offset, drift-extrapolated by the nodal skew
+        ``a_m`` (:meth:`nodal_skew` at ``tau_now``)."""
         if m == 0:
             return 0.0
-        a_m = self.nodal_skew(m, tau_now)
         elapsed = max(0.0, tau_now - self.u_off[m])
         return float(self.v_off[m] + (1.0 - 1.0 / a_m) * elapsed)
 
@@ -747,9 +793,8 @@ class _Send:
 def _clock_tables(sc: Scenario, seeds):
     """Ground-truth display/skew tables per node on the full grid."""
     displays, skews = [], []
-    for node in range(sc.graph.n + 1):
-        traj = simulate_clock(sc.params[node], sc.horizon, sc.dt,
-                              seed=int(seeds[node]))
+    for p, seed in zip(sc.params, seeds):
+        traj = simulate_clock(p, sc.horizon, sc.dt, seed=int(seed))
         displays.append(traj.displays)
         skews.append(traj.skews)
     return displays, skews
@@ -813,10 +858,10 @@ def run_scenario(sc: Scenario):
         if node == 0:
             return
         tau_now = float(displays[node][slot])
+        a_node = machine.nodal_skew(node, tau_now)
         samples[node].append((
             slot * sc.dt, tau_now, float(skews[node][slot]),
-            machine.offset_estimate(node, tau_now),
-            machine.nodal_skew(node, tau_now),
+            machine.offset_estimate(node, tau_now, a_node), a_node,
         ))
 
     def handle_arrival(slot, send: _Send):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -107,6 +108,31 @@ def test_simulate_shipped_scenario_row_count(tmp_path):
                  "--out", str(tmp_path), "--horizon", "2.0"]) == 0
     lines = (tmp_path / "two-node-seed0-metrics.csv").read_text().splitlines()
     assert len(lines) == 2
+
+
+# SHA-256 of the outputs of `clocklab simulate` on the shipped ten-node
+# line with seed 0.  The schedule never reads an estimate, so the trace
+# is the same for Hybrid and MBCSP; their metrics depend on rounding in
+# the filter arithmetic and are not pinned.
+GOLDEN_TEN_NODE_LINE = {
+    "SS": ("ecb3b28405dc769e093ca631c8d1597dbe110a7a5232b35c2aed2cfedc392ed1",
+           "fbe03a4281467bb1daf70869902130445d3838f396fb052642f55e1cbf146bcd"),
+    "Hybrid": ("47520ea81e3395eed4528cb34051de406e3c49d5ee3064d3142724ccfa9b391b", None),
+    "MBCSP": ("47520ea81e3395eed4528cb34051de406e3c49d5ee3064d3142724ccfa9b391b", None),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_TEN_NODE_LINE))
+def test_simulate_ten_node_line_golden_digests(tmp_path, protocol):
+    assert main(["simulate", str(SCENARIOS / "ten-node-line.scenario"), "--seed", "0",
+                 "--protocol", protocol, "--out", str(tmp_path)]) == 0
+    trace_sha, metrics_sha = GOLDEN_TEN_NODE_LINE[protocol]
+    digest = {kind: hashlib.sha256(
+        (tmp_path / f"ten-node-line-seed0-{kind}.csv").read_bytes()).hexdigest()
+        for kind in ("trace", "metrics")}
+    assert digest["trace"] == trace_sha
+    if metrics_sha is not None:
+        assert digest["metrics"] == metrics_sha
 
 
 def test_simulate_seed_override_is_deterministic(fast_scenario, tmp_path):

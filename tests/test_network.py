@@ -202,6 +202,40 @@ def test_distributed_locality_with_general_covariance():
     assert out.P[1, 1] <= st.P[1, 1] + 1e-15
 
 
+def dense_joseph_update(st, m):
+    """The distributed update in its dense textbook form."""
+    sel = measurement_selector(m.link, st.n)
+    pm = st.P @ sel
+    c_k = sel @ pm + m.sigma2
+    gain = np.where(sel != 0.0, pm / c_k, 0.0)
+    imk = np.eye(st.n) - np.outer(gain, sel)
+    x = st.x_hat + gain * (m.y - sel @ st.x_hat)
+    return x, imk @ st.P @ imk.T + m.sigma2 * np.outer(gain, gain)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+def test_distributed_matches_dense_joseph_form(n):
+    rng = np.random.default_rng(400 + n)
+    params = (REF,) + tuple(ClockParams(10.0, e) for e in rng.uniform(0.5, 1.5, n))
+    links = [(0, 1), (n, 0)]  # touching the reference
+    if n > 1:
+        links += [(1, 2), (n, 1)] + [tuple(int(k) for k in rng.choice(
+            np.arange(1, n + 1), 2, replace=False)) for _ in range(6)]
+    for link in links:
+        a = rng.normal(size=(n, n))
+        st = initial_network_state(params).__class__(
+            x_hat=rng.normal(size=n), P=a @ a.T + 0.1 * np.eye(n),
+            t_last=0.0, params=params,
+        )
+        m = meas(link, y=rng.normal(), sigma2=rng.uniform(1e-4, 1.0))
+        out = net_update_distributed(st, m)
+        x_ref, p_ref = dense_joseph_update(st, m)
+        scale = np.abs(p_ref).max()
+        np.testing.assert_allclose(out.x_hat, x_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.P, p_ref, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_array_equal(out.P, out.P.T)
+
+
 def test_two_hop_covariance_fill_in():
     # Path 0-1-2-3: a measurement on (1,2) leaves P_13 untouched, the
     # follow-up on (2,3) propagates correlation to the (1,3) entry.

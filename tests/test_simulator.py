@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocklab.measurement import DELAY_KINDS, DelayModel
+from clocklab.network import nodal_skew_estimate, relative_skew_readout
 from clocklab.simulator import (
     PROTOCOLS,
     TRACE_HEADER,
@@ -25,8 +26,10 @@ from clocklab.simulator import (
     trace_replay,
     write_metrics_csv,
     write_trace_csv,
+    _LinkValues,
+    _staleness_predict,
 )
-from clocklab.smoothing import SyncGraph
+from clocklab.smoothing import RelativeEstimates, SyncGraph, jacobi_step
 
 DELAY = DelayModel(kind="uniform", mean=5e-3, spread=5e-5)
 LINE3 = SyncGraph(n=2, edges=((0, 1), (1, 2)))
@@ -320,6 +323,66 @@ def test_same_slot_receipts_skip_the_measurement(proto):
     assert m.out_of_order == 1
     assert m.completed[(0, 1)] == 1
     assert m.nodal_skew(1, 1.5) == ProtocolMachine(m.sc).nodal_skew(1, 1.5)
+
+
+def dense_staleness_predict(st, elapsed):
+    """``P * outer(g, g) + diag(noise)`` over the whole network filter."""
+    g, noise = np.ones(st.n), np.zeros(st.n)
+    for k, d in elapsed.items():
+        g[k] = np.exp(-st.alpha * d)
+        noise[k] = st.params[k + 1].epsilon ** 2 / (2.0 * st.alpha) * (1.0 - g[k] * g[k])
+    return replace(st, x_hat=g * st.x_hat, P=st.P * np.outer(g, g) + np.diag(noise))
+
+
+def test_mbcsp_readouts_match_the_dense_network_filter():
+    ring = SyncGraph(n=4, edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)))
+    sc = Scenario(graph=ring, alpha=10.0, epsilons=(0.0, 1.0, 0.6, 1.4, 0.8),
+                  delay=DELAY, protocol="MBCSP")
+    m = ProtocolMachine(sc)
+    rng = np.random.default_rng(21)
+    t = 0.0
+    for _ in range(40):  # correlate the state through distributed updates
+        snd, rcv = ring.edges[rng.integers(len(ring.edges))]
+        t += rng.uniform(1e-3, 5e-2)
+        s1, r0 = t + 4e-3, t + 5e-3
+        m.skew_complete(snd, rcv, t, r0, s1, r0 + 4e-3 * rng.uniform(0.99, 1.01))
+    assert np.count_nonzero(m.net.P) > 10
+
+    def dense(now):
+        return dense_staleness_predict(m.net, {
+            k - 1: max(0.0, stamp - m.u_node[k]) for k, stamp in now.items() if k != 0})
+
+    for (i, j) in ring.edges + ((3, 1), (0, 2)):
+        now_i, now_j = t + rng.uniform(-0.05, 0.05), t + rng.uniform(-0.05, 0.05)
+        want = relative_skew_readout(dense({i: now_i, j: now_j}), i, j, now_j)
+        assert m.directed_skew(i, j, now_i, now_j, now_j).hex() == want[0].hex()
+        assert m.symmetric_skew(i, j, now_i, now_j, now_j).hex() == want[2].hex()
+        assert m.reply_payload(i, j, now_i, now_j).hex() == want[2].hex()
+    for k in range(1, 5):
+        tau = t + rng.uniform(-0.05, 0.05)
+        want = nodal_skew_estimate(dense({k: tau}), k, tau)
+        assert m.nodal_skew(k, tau).hex() == want.hex()
+    elapsed = {0: 0.03, 2: 0.01}
+    fast, slow = _staleness_predict(m.net, elapsed), dense_staleness_predict(m.net, elapsed)
+    np.testing.assert_array_equal(fast.P, slow.P)
+    np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
+
+
+def test_link_values_relax_like_jacobi_step():
+    rng = np.random.default_rng(8)
+    links = _LinkValues()
+    for _ in range(30):  # repeated and reversed links included
+        i, j = (int(k) for k in rng.choice(6, 2, replace=False))
+        links.store((i, j), float(rng.normal()))
+    graph = SyncGraph(n=5, edges=tuple(links.values))
+    rel = RelativeEstimates(dict(links.values))
+    v = rng.normal(size=6)
+    for node in range(1, 6):
+        want = jacobi_step(node, v, graph, rel)
+        links.relax(node, v)
+        assert v[node].hex() == want.hex()
+    with pytest.raises(ValueError, match=r"estimate on edge \(1, 2\) must be finite"):
+        links.store((1, 2), float("nan"))
 
 
 def test_machine_rejects_unknown_link():
