@@ -4,12 +4,15 @@ Each hardware clock is modeled by a mean-reverting log-skew state
 ``X(t)`` (an Ornstein-Uhlenbeck process started at zero), a positive
 instantaneous skew ``a(t) = c(t) * exp(X(t))`` whose deterministic
 normalizer ``c(t)`` keeps the mean skew at exactly one, and a time
-display ``tau(t)`` obtained by integrating the skew.  This module
-generates sample paths on a fixed grid, evaluates the closed-form
-moments and variance bounds of all three processes, computes the Allan
-variance of the skew (analytically and from display samples), fits
-clock parameters to measured Allan curves, and derives the parameters
-of the *relative* clock seen across a link between two nodes.
+display ``tau(t)`` obtained by integrating the skew.
+
+Every sample path comes from one generator, :func:`clock_chunks`, which
+streams a batch of clocks along a fixed grid one chunk at a time.  The
+module also evaluates the closed-form moments and variance bounds of
+all three processes, computes the Allan variance of the skew
+(analytically and from display samples), fits clock parameters to
+measured Allan curves, and derives the parameters of the *relative*
+clock seen across a link between two nodes.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "ou_step_exact",
     "ou_step_euler",
     "ou_transition",
+    "clock_chunks",
     "simulate_clock",
     "sample_displays",
     "ou_variance",
@@ -45,7 +49,6 @@ __all__ = [
     "relative_params",
     "write_trajectory_csv",
     "read_trajectory_csv",
-    "write_allan_csv",
 ]
 
 
@@ -172,10 +175,6 @@ class ClockTrajectory:
         """Reference-time grid points."""
         return np.arange(len(self.states)) * self.dt
 
-    def display_at(self, t: float) -> float:
-        """Display value at reference time ``t``, linearly interpolated."""
-        return float(np.interp(t, self.times, self.displays))
-
 
 # ---------------------------------------------------------------------------
 # Single-step transitions
@@ -269,12 +268,54 @@ def skew_normalizer(t, p: ClockParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _ar1_states(n_steps: int, decay: float, noise_std: float, z: np.ndarray,
-                x0: float = 0.0) -> np.ndarray:
-    """States x_1..x_n of x_k = decay*x_{k-1} + noise_std*z_k, given x_0."""
-    zi = np.array([decay * x0])
-    out, _ = lfilter([noise_std], [1.0, -decay], z[:n_steps], zi=zi)
-    return out
+def clock_chunks(params, dt: float, n_steps: int, normals, chunk_steps: int):
+    """Stream grid points 0..n_steps of a batch of clocks that share ``alpha``.
+
+    Row r follows ``params[r]`` from ``X = 0``, ``a = 1``, ``tau = 0``:
+    the exact transition driven by ``normals(k)``, an ``(m, k)`` array
+    of standard normals for the next ``k`` steps; skews ``c(t) exp(X)``;
+    displays by the trapezoidal rule.  Yields ``(states, skews,
+    displays)``, each ``(m, width)``, with grid point g in chunk
+    ``g // chunk_steps`` at column ``g % chunk_steps``.  The state, skew
+    and display reached are carried across chunks, so the chunk length
+    changes no value, bit for bit.
+    """
+    if chunk_steps < 1:
+        raise ValueError(f"chunk_steps must be at least 1, got {chunk_steps!r}")
+    if len({p.alpha for p in params}) != 1:
+        raise ValueError("clocks in one batch must share alpha")
+    # transition and normalizer once per distinct epsilon
+    _, first, row_of = np.unique([p.epsilon for p in params],
+                                 return_index=True, return_inverse=True)
+    kinds = [params[i] for i in first]
+    decay = ou_transition(kinds[0], dt)[0]
+    noise_std = np.array([ou_transition(p, dt)[1] for p in kinds])[row_of][:, None]
+    m = len(params)
+    x, a, tau = np.zeros(m), np.ones(m), np.zeros(m)   # grid point 0
+    done, lead, k = 0, 0, min(chunk_steps - 1, n_steps)  # chunk 0 also holds point 0
+    while True:
+        # column 0 is grid point ``done``, the last one generated
+        u = np.empty((m, k + 1))
+        u[:, 0] = x
+        np.multiply(noise_std, normals(k), out=u[:, 1:])
+        states = lfilter([1.0], [1.0, -decay], u, axis=1)  # x_j = decay x_{j-1} + u_j
+        skews = np.exp(states)
+        skews[:, 0] = a
+        c = [skew_normalizer((done + 1 + np.arange(k)) * dt, p) for p in kinds]
+        for r, c_r in enumerate(c):
+            np.multiply(skews[:, 1:], c_r, out=skews[:, 1:], where=(row_of == r)[:, None])
+        seg = np.add(skews[:, 1:], skews[:, :-1], out=u[:, 1:])  # u is spent
+        seg *= 0.5 * dt
+        seg[:, :1] += tau[:, None]  # no column when k == 0
+        displays = np.empty((m, k + 1))
+        displays[:, 0] = tau
+        np.cumsum(seg, axis=1, out=displays[:, 1:])
+        x, a, tau = states[:, -1].copy(), skews[:, -1].copy(), displays[:, -1].copy()
+        yield states[:, lead:], skews[:, lead:], displays[:, lead:]
+        done += k
+        if done >= n_steps:
+            return
+        lead, k = 1, min(chunk_steps, n_steps - done)
 
 
 def simulate_clock(p: ClockParams, horizon: float, dt: float, seed: int) -> ClockTrajectory:
@@ -295,9 +336,7 @@ def simulate_clock(p: ClockParams, horizon: float, dt: float, seed: int) -> Cloc
     Returns
     -------
     ClockTrajectory
-        States advanced with the exact transition, skews
-        ``c(k dt) exp(X_k)``, and displays integrated with the
-        trapezoidal rule on the grid.
+        The whole grid of :func:`clock_chunks` as one chunk.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -305,25 +344,19 @@ def simulate_clock(p: ClockParams, horizon: float, dt: float, seed: int) -> Cloc
         raise ValueError(f"step must be positive, got {dt!r}")
     n_steps = max(1, int(round(horizon / dt)))
     rng = np.random.default_rng(seed)
-    decay, noise_std = ou_transition(p, dt)
-    z = rng.standard_normal(n_steps)
-    states = np.empty(n_steps + 1)
-    states[0] = 0.0
-    states[1:] = _ar1_states(n_steps, decay, noise_std, z)
-    times = np.arange(n_steps + 1) * dt
-    skews = skew_normalizer(times, p) * np.exp(states)
-    displays = np.empty(n_steps + 1)
-    displays[0] = 0.0
-    np.cumsum(0.5 * dt * (skews[1:] + skews[:-1]), out=displays[1:])
-    return ClockTrajectory(dt=dt, states=states, skews=skews, displays=displays, seed=seed)
+    (states, skews, displays), = clock_chunks(
+        [p], dt, n_steps, lambda k: rng.standard_normal((1, k)), n_steps + 1)
+    return ClockTrajectory(dt=dt, states=states[0], skews=skews[0],
+                           displays=displays[0], seed=seed)
 
 
 def sample_displays(p: ClockParams, spacing: float, count: int, dt: float, seed: int,
                     chunk_steps: int = 1_000_000) -> np.ndarray:
     """Display values tau(0), tau(spacing), ..., tau(count*spacing).
 
-    Streams the underlying grid in chunks so that long horizons (used
-    by empirical Allan-variance estimation) never materialize the full
+    Walks the path of :func:`simulate_clock` in chunks of
+    ``chunk_steps`` grid points, so that long horizons (used by
+    empirical Allan-variance estimation) never materialize the full
     path.  ``spacing`` must be an integer multiple of ``dt``.
     """
     if not (spacing > 0 and dt > 0 and count >= 1):
@@ -331,34 +364,13 @@ def sample_displays(p: ClockParams, spacing: float, count: int, dt: float, seed:
     per = int(round(spacing / dt))
     if per < 1 or abs(per * dt - spacing) > 1e-9 * spacing:
         raise ValueError(f"spacing {spacing!r} is not a multiple of dt {dt!r}")
-    total = per * count
     rng = np.random.default_rng(seed)
-    decay, noise_std = ou_transition(p, dt)
-    out = np.empty(count + 1)
-    out[0] = 0.0
-    acc = 0.0          # display integral so far
-    x_prev = 0.0       # state at the last grid point processed
-    a_prev = 1.0       # skew at the last grid point processed
-    done = 0           # grid steps processed
-    next_record = 1
-    while done < total:
-        n = min(chunk_steps, total - done)
-        z = rng.standard_normal(n)
-        xs = _ar1_states(n, decay, noise_std, z, x0=x_prev)
-        ts = (done + 1 + np.arange(n)) * dt
-        sk = skew_normalizer(ts, p) * np.exp(xs)
-        seg = np.empty(n)
-        seg[0] = 0.5 * dt * (a_prev + sk[0])
-        seg[1:] = 0.5 * dt * (sk[1:] + sk[:-1])
-        cum = acc + np.cumsum(seg)
-        while next_record * per <= done + n:
-            out[next_record] = cum[next_record * per - done - 1]
-            next_record += 1
-        acc = cum[-1]
-        x_prev = xs[-1]
-        a_prev = sk[-1]
-        done += n
-    return out
+    kept, start = [], 0
+    for _, _, displays in clock_chunks([p], dt, per * count,
+                                       lambda k: rng.standard_normal((1, k)), chunk_steps):
+        kept.append(displays[0, -start % per::per].copy())
+        start += displays.shape[1]
+    return np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +639,3 @@ def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return {name: data[:, k] for k, name in enumerate(header)}
 
-
-def write_allan_csv(points, path) -> None:
-    """Write Allan points as CSV with header ``T,sigma2``."""
-    data = np.array([[q.T, q.sigma2] for q in points])
-    np.savetxt(path, data, delimiter=",", header="T,sigma2", comments="", fmt="%.17g")

@@ -31,7 +31,6 @@ __all__ = [
     "net_update_distributed",
     "nodal_skew_estimate",
     "relative_skew_readout",
-    "write_covariance_csv",
 ]
 
 
@@ -228,8 +227,3 @@ def relative_skew_readout(
     a_ij = c * np.exp(mean + 0.5 * var)
     a_ji = (1.0 / c) * np.exp(-mean + 0.5 * var)
     return float(a_ij), float(a_ji), float(np.sqrt(a_ij / a_ji))
-
-
-def write_covariance_csv(P: np.ndarray, path) -> None:
-    """Dump a covariance snapshot as a plain CSV matrix."""
-    np.savetxt(path, np.asarray(P, dtype=float), delimiter=",", fmt="%.17g")

@@ -32,7 +32,6 @@ __all__ = [
     "variance_upper_bound",
     "suboptimal_predict",
     "suboptimal_update",
-    "write_filter_trace",
 ]
 
 F_MODES = ("unity", "conditional-mean")
@@ -204,10 +203,3 @@ def suboptimal_update(st: PairwiseFilterState, m: Measurement,
         x_hat=st.x_hat + gain * (m.y - st.x_hat),
         P=m.sigma2 * st.P / (st.P + m.sigma2),
     )
-
-
-def write_filter_trace(rows, path) -> None:
-    """Write per-update diagnostics as CSV: ``t,x_hat,P,y,sigma2,gain``."""
-    data = np.asarray(rows, dtype=float).reshape(-1, 6)
-    np.savetxt(path, data, delimiter=",", header="t,x_hat,P,y,sigma2,gain",
-               comments="", fmt="%.17g")

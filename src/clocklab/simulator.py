@@ -1,10 +1,11 @@
 """Packet-level discrete-event simulation of the synchronization protocols.
 
-The engine generates ground-truth clocks on a grid, schedules two-packet
-skew exchanges and offset roundtrips at random times on random links,
-arbitrates concurrent transmissions under a primary-interference MAC
-(active links must form a matching), and drives one of three
-estimation protocols:
+The engine advances on a grid of time slots.  It streams the
+ground-truth clocks forward along that grid, holding one chunk of
+slots at a time, schedules two-packet skew exchanges and offset
+roundtrips at random times on random links, arbitrates concurrent
+transmissions under a primary-interference MAC (active links must form
+a matching), and drives one of three estimation protocols:
 
 * ``SS`` — per-link skew ratios smoothed by exponential forgetting,
   nodal values by spatial smoothing; the model-free baseline.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from clocklab.clocks import ClockParams, simulate_clock, skew_normalizer
+from clocklab.clocks import ClockParams, clock_chunks, skew_normalizer
 from clocklab.measurement import (
     DelayModel,
     StampRecord,
@@ -48,8 +49,9 @@ from clocklab.network import (
 from clocklab.smoothing import SyncGraph
 
 # Not called here: the per-layer trace of perfbench/tracing.py wraps these
-# names on this module, and a zero call count shows the machine relaxes
-# from its stored adjacency.
+# names on this module, and a zero call count shows that the machine
+# relaxes from its stored adjacency and the engine streams its clocks.
+from clocklab.clocks import simulate_clock  # noqa: F401
 from clocklab.smoothing import RelativeEstimates, jacobi_step  # noqa: F401
 
 __all__ = [
@@ -790,14 +792,8 @@ class _Send:
     payload: tuple = ()
 
 
-def _clock_tables(sc: Scenario, seeds):
-    """Ground-truth display/skew tables per node on the full grid."""
-    displays, skews = [], []
-    for p, seed in zip(sc.params, seeds):
-        traj = simulate_clock(p, sc.horizon, sc.dt, seed=int(seed))
-        displays.append(traj.displays)
-        skews.append(traj.skews)
-    return displays, skews
+# Slots of ground truth per node that the engine holds at once.
+_CHUNK_STEPS = 4096
 
 
 def run_scenario(sc: Scenario):
@@ -816,13 +812,25 @@ def run_scenario(sc: Scenario):
     """
     root = np.random.SeedSequence(sc.seed)
     children = root.spawn(sc.graph.n + 4)
-    clock_seeds = [c.generate_state(1, np.uint64)[0] for c in children[: sc.graph.n + 1]]
+    clock_rngs = [np.random.default_rng(int(c.generate_state(1, np.uint64)[0]))
+                  for c in children[: sc.graph.n + 1]]
     rng_sched = np.random.default_rng(children[sc.graph.n + 1])
     rng_delay = np.random.default_rng(children[sc.graph.n + 2])
     rng_mac = np.random.default_rng(children[sc.graph.n + 3])
 
-    displays, skews = _clock_tables(sc, clock_seeds)
-    n_slots = len(displays[0]) - 1
+    # Node m's clock is the simulate_clock path of its seed, streamed: the
+    # engine reads it only at the current slot, and slots never decrease,
+    # so one chunk (slots start..stop-1) is held at a time.
+    n_slots = max(1, int(round(sc.horizon / sc.dt)))
+
+    def normals(k):  # each node's own draws, filled in place: no stacked copy
+        z = np.empty((len(clock_rngs), k))
+        for rng, row in zip(clock_rngs, z):
+            rng.standard_normal(out=row)
+        return z
+
+    clocks = clock_chunks(sc.params, sc.dt, n_slots, normals, _CHUNK_STEPS)
+    start = stop = 0
     dlinks = sc.directed_links
     machine = ProtocolMachine(sc)
     trace: list[TraceRow] = []
@@ -845,7 +853,7 @@ def run_scenario(sc: Scenario):
     xid_counter = 0
 
     def stamp(node, slot):
-        return quantize_stamp(float(displays[node][slot]))
+        return quantize_stamp(float(displays[node, slot - start]))
 
     push(int(rng_sched.geometric(p_skew)), "start-skew", None)
     push(int(rng_sched.geometric(p_off)), "start-offset", None)
@@ -857,10 +865,10 @@ def run_scenario(sc: Scenario):
     def record_sample(node: int, slot: int) -> None:
         if node == 0:
             return
-        tau_now = float(displays[node][slot])
+        tau_now = float(displays[node, slot - start])
         a_node = machine.nodal_skew(node, tau_now)
         samples[node].append((
-            slot * sc.dt, tau_now, float(skews[node][slot]),
+            slot * sc.dt, tau_now, float(skews[node, slot - start]),
             machine.offset_estimate(node, tau_now, a_node), a_node,
         ))
 
@@ -893,6 +901,9 @@ def run_scenario(sc: Scenario):
         slot = heap[0][0]
         if slot > n_slots:
             break
+        while slot >= stop:
+            _, skews, displays = next(clocks)
+            start, stop = stop, stop + displays.shape[1]
         arrivals, sends, starts = [], [], []
         while heap and heap[0][0] == slot:
             _, _, kind, data = heapq.heappop(heap)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
-from clocklab.clocks import ClockParams, ou_transition, skew_normalizer
+from clocklab.clocks import ClockParams, clock_chunks
 
 
 def batch_paths(p: ClockParams, times, n_paths: int, dt: float, seed: int,
@@ -13,32 +12,22 @@ def batch_paths(p: ClockParams, times, n_paths: int, dt: float, seed: int,
     """Sample many clock paths and return their values at selected times.
 
     Returns a dict ``t -> (states, skews, displays)`` of arrays of length
-    ``n_paths``, generated with the exact one-step transition and
-    trapezoidal display integration (the same scheme the library uses,
-    but vectorized across paths).
+    ``n_paths``.  Paths are generated in blocks of ``chunk`` by the
+    library's own :func:`~clocklab.clocks.clock_chunks`, each block as
+    one chunk of the whole grid.
     """
     times = sorted(times)
     n_steps = int(round(times[-1] / dt))
     record = {int(round(t / dt)): t for t in times}
     if len(record) != len(times):
         raise ValueError("requested times collide on the grid")
-    decay, noise_std = ou_transition(p, dt)
-    grid_times = np.arange(n_steps + 1) * dt
-    c = skew_normalizer(grid_times, p)
     rng = np.random.default_rng(seed)
     out = {t: [] for t in times}
     done = 0
     while done < n_paths:
         m = min(chunk, n_paths - done)
-        z = rng.standard_normal((m, n_steps))
-        states = np.empty((m, n_steps + 1))
-        states[:, 0] = 0.0
-        states[:, 1:] = lfilter([noise_std], [1.0, -decay], z, axis=1)
-        skews = c[None, :] * np.exp(states)
-        displays = np.empty((m, n_steps + 1))
-        displays[:, 0] = 0.0
-        np.cumsum(0.5 * dt * (skews[:, 1:] + skews[:, :-1]), axis=1,
-                  out=displays[:, 1:])
+        (states, skews, displays), = clock_chunks(
+            [p] * m, dt, n_steps, lambda k: rng.standard_normal((m, k)), n_steps + 1)
         for k, t in record.items():
             out[t].append((states[:, k].copy(), skews[:, k].copy(),
                            displays[:, k].copy()))

@@ -15,7 +15,6 @@ from clocklab.network import (
     net_update_optimal,
     nodal_skew_estimate,
     relative_skew_readout,
-    write_covariance_csv,
 )
 from clocklab.pairwise import (
     PairwiseFilterState,
@@ -333,12 +332,3 @@ def test_relative_readout_identities():
         assert a_ij * a_ji == pytest.approx(math.exp(v), rel=1e-12)
         assert a_ij * a_ji >= 1.0 - 1e-12
         assert sym_ij * sym_ji == pytest.approx(1.0, rel=1e-12)
-
-
-def test_covariance_csv(tmp_path):
-    p = np.array([[0.1, 0.02], [0.02, 0.2]])
-    path = tmp_path / "cov.csv"
-    write_covariance_csv(p, path)
-    np.testing.assert_allclose(
-        np.loadtxt(path, delimiter=","), p, rtol=1e-15
-    )

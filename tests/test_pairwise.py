@@ -20,7 +20,6 @@ from clocklab.pairwise import (
     suboptimal_update,
     update,
     variance_upper_bound,
-    write_filter_trace,
 )
 
 REL = RelParams(alpha=10.0, eps_i=1.0, eps_j=1.0)  # eps_ij = sqrt(2), ceiling 0.1
@@ -358,19 +357,3 @@ def test_suboptimal_tracks_truth_on_a_simulated_link():
     mse_opt = float(np.mean(np.square(err_opt[half:])))
     mse_sub = float(np.mean(np.square(err_sub[half:])))
     assert mse_sub <= 2.0 * mse_opt
-
-
-# ------------------------------------------------------------- trace CSV
-
-
-def test_write_filter_trace(tmp_path):
-    rows = [
-        (0.1, 0.01, 0.002, 0.015, 1e-3, 0.66),
-        (0.2, 0.012, 0.0015, -0.005, 1e-3, 0.6),
-    ]
-    path = tmp_path / "trace.csv"
-    write_filter_trace(rows, path)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,x_hat,P,y,sigma2,gain"
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_allclose(back, np.asarray(rows), rtol=1e-15)

@@ -1,13 +1,16 @@
 """Tests for the discrete-event protocol simulator."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clocklab.clocks import simulate_clock
 from clocklab.measurement import DELAY_KINDS, DelayModel
 from clocklab.network import nodal_skew_estimate, relative_skew_readout
 from clocklab.simulator import (
@@ -26,11 +29,13 @@ from clocklab.simulator import (
     trace_replay,
     write_metrics_csv,
     write_trace_csv,
+    _CHUNK_STEPS,
     _LinkValues,
     _staleness_predict,
 )
 from clocklab.smoothing import RelativeEstimates, SyncGraph, jacobi_step
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DELAY = DelayModel(kind="uniform", mean=5e-3, spread=5e-5)
 LINE3 = SyncGraph(n=2, edges=((0, 1), (1, 2)))
 
@@ -426,6 +431,35 @@ def test_two_node_hybrid_reduces_to_network_filter(tmp_path):
     rep_hyb, _ = run_scenario(replace(sc, protocol="Hybrid"))
     assert metrics_csv_bytes(rep_net, tmp_path, "n.csv") == \
         metrics_csv_bytes(rep_hyb, tmp_path, "h.csv")
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS)
+def test_streamed_clocks_are_the_simulate_clock_paths(proto):
+    # The shipped two-node scenario at horizon 1.0 spans many engine chunks.
+    sc = replace(read_scenario(SCENARIOS / "two-node.scenario"),
+                 horizon=1.0, protocol=proto)
+    children = np.random.SeedSequence(sc.seed).spawn(sc.graph.n + 4)
+    paths = [simulate_clock(p, sc.horizon, sc.dt, int(c.generate_state(1, np.uint64)[0]))
+             for p, c in zip(sc.params, children)]
+    _, trace = run_scenario(sc)
+    arrivals = [round((row.true_send_t + row.true_delay) / sc.dt) for row in trace]
+    assert max(arrivals) > 10 * _CHUNK_STEPS
+    for row, slot in zip(trace, arrivals):
+        sent = round(row.true_send_t / sc.dt)
+        assert row.s_stamp == quantize_stamp(paths[row.src].displays[sent])
+        assert row.r_stamp == quantize_stamp(paths[row.dst].displays[slot])
+
+
+def test_run_memory_does_not_grow_with_the_horizon():
+    sc = replace(read_scenario(SCENARIOS / "two-node.scenario"),
+                 horizon=12.0, protocol="SS")
+    tracemalloc.start()
+    try:
+        run_scenario(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_trace_rows_are_well_formed():
