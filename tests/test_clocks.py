@@ -7,6 +7,7 @@ test).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import batch_paths, sem, var_se
+from clocklab import clocks
 from clocklab.clocks import (
     AllanPoint,
     ClockParams,
@@ -209,6 +211,18 @@ def test_sample_displays_chunking_invariance():
 # Moments
 # ---------------------------------------------------------------------------
 
+def test_skew_normalizer_settled_limit_is_bit_identical():
+    # Past the settle time the normalizer is filled with its limit; it
+    # must equal the unshortened formula in every bit, on both sides.
+    for alpha in (0.1, 1.0, 66.4, 1000.0):
+        settle = 27.5 * math.log(2.0) / alpha
+        t = np.linspace(0.0, 2.0 * settle, 200_001)
+        for epsilon in (1e-5, 0.3, 1.0, 3.0):
+            p = ClockParams(alpha, epsilon)
+            full = np.exp(-0.25 * epsilon**2 / alpha * (1.0 - np.exp(-2.0 * alpha * t)))
+            assert np.array_equal(skew_normalizer(t, p), full), (alpha, epsilon)
+
+
 def test_ou_variance_closed_form():
     assert ou_variance(0.0, P10_1) == 0.0
     assert ou_variance(1e6, P10_1) == pytest.approx(0.05, rel=1e-12)
@@ -282,11 +296,14 @@ def test_display_bounds_bracket_true_variance():
     # Var tau(t) = int int (E[a(r)a(s)] - 1) dr ds, evaluated here with
     # an independent adaptive integrator; the Jensen lower bound is
     # within ~1.2% of the truth at eps=1, so this is a sharp check.
+    # The integrand is symmetric in (r, s), so the square is twice the
+    # triangle r <= s, which keeps the kink on r = s on the boundary.
     for p, t in [(P10_1, 5.0), (ClockParams(10.0, 3.0), 2.0)]:
-        val, _ = integrate.dblquad(
+        half, _ = integrate.dblquad(
             lambda r, s: skew_autocorrelation(r, s, p) - 1.0,
-            0, t, 0, t, epsabs=1e-12, epsrel=1e-8,
+            0, t, 0, lambda s: s, epsabs=1e-12, epsrel=1e-8,
         )
+        val = 2.0 * half
         lower, upper = display_variance_bounds(t, p)
         assert lower <= val <= upper
 
@@ -332,6 +349,62 @@ def test_allan_analytic_validates():
         allan_variance_analytic(0.0, P10_1)
     with pytest.raises(ValueError):
         allan_variance_analytic(0.5, P10_1, quad_steps=32)
+
+
+def _allan_reduction(T, p):
+    # The 1-D reduction of the defining double integrals with the
+    # kernel's constant 1 taken out (it cancels between I1 and I2), so
+    # that tiny q is not lost to rounding.
+    q = p.stationary_state_variance
+    kern = lambda u: math.expm1(q * math.exp(-p.alpha * abs(u)))
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    i1 = 2 * integrate.quad(lambda u: (T - u) * kern(u), 0, T, **opts)[0]
+    i2 = integrate.quad(lambda u: min(u, 2 * T - u) * kern(u), 0, 2 * T, points=[T], **opts)[0]
+    return (i1 - i2) / T**2
+
+
+@pytest.mark.parametrize("alpha, epsilon, T", [
+    (10.0, 1.0, 1e-4),                # alpha T = 1e-3: the small-x Taylor branch
+    (0.5, 2.0, 0.002),                # q = 4
+    (1.0, 2.0, 0.5),                  # q = 2, alpha T = 0.5
+    (1.0, math.sqrt(200.0), 0.3),     # q = 100
+    (66.4, 4.15e-5, 0.01),            # the mote clock, q = 1.3e-11
+    (66.4, 4.15e-5, 0.2),
+])
+def test_allan_series_matches_adaptive_reduction(alpha, epsilon, T):
+    p = ClockParams(alpha, epsilon)
+    reference = _allan_reduction(T, p)
+    assert allan_variance_analytic(T, p) == pytest.approx(reference, rel=1e-10, abs=0.0)
+
+
+def test_allan_series_noiseless_clock_is_exactly_zero():
+    for T in (1e-6, 0.5, 1e3):
+        assert allan_variance_analytic(T, ClockParams(10.0, 0.0)) == 0.0
+
+
+def test_allan_series_overflow_is_inf_and_fit_rejects_it(monkeypatch):
+    huge = ClockParams(1e-3, 2.0)  # q = 2000, e^q overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert allan_variance_analytic(0.1, huge) == math.inf
+    # The curve of the start box's corner (0.1, 10), q = 500: the descent
+    # from there steps into q > 709, whose infinite curves it must reject.
+    series, overflowed = clocks._allan_series, []
+
+    def counted(ts, p):
+        vals = series(ts, p)
+        overflowed.append(math.isinf(vals[0]))
+        return vals
+
+    monkeypatch.setattr(clocks, "_allan_series", counted)
+    corner = ClockParams(0.1, 10.0)
+    pts = _curve(corner, (0.01, 0.1, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fitted = fit_params_from_allan(pts, n_starts=0)
+    assert any(overflowed)
+    assert fitted.alpha == pytest.approx(corner.alpha, rel=1e-6)
+    assert fitted.epsilon == pytest.approx(corner.epsilon, rel=1e-6)
 
 
 def test_allan_differs_from_stationary_difference_variance():
@@ -407,6 +480,39 @@ def test_fit_validates_points():
         fit_params_from_allan([AllanPoint(0.1, 1.0)])
     with pytest.raises(ValueError):
         fit_params_from_allan([AllanPoint(0.1, 1.0), AllanPoint(0.1, 2.0)])
+
+
+def test_fit_validates_quad_steps_and_starts():
+    pts = _curve(P10_1, (0.01, 0.1))
+    with pytest.raises(ValueError, match="quad_steps"):
+        fit_params_from_allan(pts, quad_steps=32)
+    with pytest.raises(ValueError, match="n_starts must be nonnegative"):
+        fit_params_from_allan(pts, n_starts=-1)
+
+
+@pytest.mark.parametrize("alpha, epsilon, seeds", [
+    (10.0, 1.0, (0, 1, 2, 3)),
+    (1.0, 1e-3, (0,)),
+    (300.0, 0.1, (0,)),
+])
+def test_fit_recovers_clock_for_every_restart_seed(alpha, epsilon, seeds):
+    true = ClockParams(alpha, epsilon)
+    pts = _curve(true, np.geomspace(2e-3, 0.2, 8))
+    for seed in seeds:
+        fitted = fit_params_from_allan(pts, seed=seed)
+        assert fitted.alpha == pytest.approx(alpha, rel=5e-3), seed
+        assert fitted.epsilon == pytest.approx(epsilon, rel=5e-3), seed
+
+
+def test_fit_from_grid_start_alone():
+    # With no random restarts the fit is the descent from the grid's
+    # best point, so the restart seed cannot matter.
+    true = ClockParams(alpha=66.4, epsilon=4.15e-5)
+    pts = _curve(true, np.geomspace(2e-3, 0.2, 8))
+    fitted = fit_params_from_allan(pts, n_starts=0)
+    assert fitted == fit_params_from_allan(pts, n_starts=0, seed=7)
+    assert fitted.alpha == pytest.approx(true.alpha, rel=0.05)
+    assert fitted.epsilon == pytest.approx(true.epsilon, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
