@@ -51,7 +51,7 @@ from clocklab.simulator import (
 )
 from clocklab.smoothing import RelativeEstimates, SyncGraph, smooth, write_nodal_csv
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 logger = logging.getLogger(__name__)
 
@@ -186,7 +186,7 @@ def _cmd_allan(args) -> int:
 
     print("T,analytic,empirical")
     for T in intervals:
-        analytic = (allan_variance_analytic(T, params, args.quad_steps)
+        analytic = (allan_variance_analytic(T, params)
                     if params is not None else float("nan"))
         if displays is not None:
             per = int(round(T / grid_dt))
@@ -230,8 +230,7 @@ def _read_allan_curve(path) -> list[AllanPoint]:
 
 def _cmd_fit(args) -> int:
     points = _read_allan_curve(args.curve)
-    fitted = fit_params_from_allan(points, quad_steps=args.quad_steps,
-                                   n_starts=args.starts, seed=args.seed)
+    fitted = fit_params_from_allan(points, n_starts=args.starts, seed=args.seed)
     print("alpha,epsilon")
     print(f"{fitted.alpha:.17g},{fitted.epsilon:.17g}")
     return 0
@@ -364,15 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="windows simulated per interval (params mode)")
     p.add_argument("--sim-dt", type=float, default=1e-3,
                    help="integration step of the simulated windows")
-    p.add_argument("--quad-steps", type=int, default=256,
-                   help="validated; the value is exact")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gnuplot-hints", action="store_true")
     p.set_defaults(func=_cmd_allan)
 
     p = sub.add_parser("fit", help="fit clock parameters to an Allan curve")
     p.add_argument("curve", help="CSV with header T,sigma2 or T,analytic,empirical")
-    p.add_argument("--quad-steps", type=int, default=128, help="validated; the value is exact")
     p.add_argument("--starts", type=int, default=8, help="random restarts after the grid start")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fit)

@@ -482,7 +482,7 @@ def _allan_series(ts: np.ndarray, p: ClockParams) -> np.ndarray:
     return math.exp(top) * (np.exp(log_w[:len(k)] - top) @ h)
 
 
-def allan_variance_analytic(T: float, p: ClockParams, quad_steps: int = 256) -> float:
+def allan_variance_analytic(T: float, p: ClockParams) -> float:
     """Allan variance of the skew over averaging interval ``T > 0``.
 
     The stationary skew kernel exp(q e^{-alpha |u|}), q = eps^2 / (2 alpha),
@@ -495,13 +495,9 @@ def allan_variance_analytic(T: float, p: ClockParams, quad_steps: int = 256) -> 
     its k = 1 term is the linearized Allan variance.  Relative error: a
     few units in the last place for small q, about 6e-14 at q = 100.
     Exactly 0 for a noiseless clock, ``inf`` once e^q overflows.
-    ``quad_steps`` (at least 64) is validated but unused: the series is
-    exact.
     """
     if not T > 0:
         raise ValueError(f"averaging interval must be positive, got {T!r}")
-    if quad_steps < 64:
-        raise ValueError(f"quad_steps must be at least 64, got {quad_steps!r}")
     return float(_allan_series(np.array([float(T)]), p)[0])
 
 
@@ -527,8 +523,7 @@ def allan_variance_empirical(displays, T: float) -> float:
     return float(np.sum(d * d) / (2.0 * len(d)))
 
 
-def fit_params_from_allan(points, quad_steps: int = 128, n_starts: int = 8,
-                          seed: int = 0) -> ClockParams:
+def fit_params_from_allan(points, n_starts: int = 8, seed: int = 0) -> ClockParams:
     """Fit clock parameters to an Allan-variance curve.
 
     Minimizes the mean absolute error between :func:`allan_variance_analytic`
@@ -537,16 +532,14 @@ def fit_params_from_allan(points, quad_steps: int = 128, n_starts: int = 8,
     best point of a fixed 24 x 24 log grid (``_FIT_GRID``) over alpha in
     [1e-1, 1e3] and epsilon in [1e-6, 1e1], so every fit is deterministic;
     ``n_starts >= 0`` random starts from ``seed``, log-uniform over the
-    same box, follow.  ``quad_steps`` (at least 64) is validated but
-    unused.  Returns the best candidate and logs its residual; raises
-    ValueError ("fit failed") if none has a finite objective.
+    same box, follow.  Returns the best candidate and logs its
+    residual; raises ValueError ("fit failed") if none has a finite
+    objective.
 
     Not identifiable when alpha T << 1 at every interval: the curve then
     sees only the kernel's short-lag behaviour, and (0.5, 2) over
     2e-3..0.2 (alpha T <= 0.1) fits to about (0.15, 1.2).
     """
-    if quad_steps < 64:
-        raise ValueError(f"quad_steps must be at least 64, got {quad_steps!r}")
     if n_starts < 0:
         raise ValueError(f"n_starts must be nonnegative, got {n_starts!r}")
     pts = list(points)

@@ -214,14 +214,14 @@ def skew_measurement(rec: StampRecord, pi: ClockParams, pj: ClockParams, t_k: fl
     return Measurement(link=rec.link, t_k=t_k, y=y, sigma2=sigma2)
 
 
-def measurement_epoch(rec: StampRecord, reference_node: int = 0) -> float:
+def measurement_epoch(rec: StampRecord) -> float:
     """Epoch at which a skew-pair measurement applies.
 
     The reference node's displays are exact reference time, so when it
     is the sender the first send stamp is used; otherwise the closing
     receive stamp serves as the receiver-clock proxy.
     """
-    return rec.s[0] if rec.link[0] == reference_node else rec.r[1]
+    return rec.s[0] if rec.link[0] == 0 else rec.r[1]
 
 
 def offset_delay_estimate(rec: StampRecord, a_ij_hat: float,

@@ -11,6 +11,10 @@ total variance is a lower bound at every step.
 Node 0 is the reference and is excluded from the state: rows and
 columns that would belong to it read as zeros, and measurements against
 it reduce to the scalar pairwise update.
+
+Prediction is per row: :func:`net_predict_rows` advances each named
+state by its own elapsed time, as a distributed node's rows age on its
+own clock; :func:`net_predict` advances every row by the same time.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "initial_network_state",
     "measurement_selector",
     "net_predict",
+    "net_predict_rows",
     "net_update_optimal",
     "net_update_distributed",
     "nodal_skew_estimate",
@@ -99,28 +104,50 @@ def measurement_selector(link: tuple[int, int], n: int) -> np.ndarray:
     return sel
 
 
+def net_predict_rows(st: NetworkFilterState,
+                     elapsed: dict[int, float]) -> NetworkFilterState:
+    """Advance selected state rows by their own elapsed times.
+
+    ``elapsed`` maps state indices (0-based) to nonnegative time
+    differences.  Each named row decays by its own factor and collects
+    its own process noise; unnamed rows are left stale, to be advanced
+    when they next participate.  ``t_last`` is unchanged.
+
+    With ``g`` the decay factors (1 on unnamed rows), named row k
+    becomes ``P[k, :] * (g[k] * g)``, is copied onto column k, and then
+    ``P[k, k]`` gains the process noise: entry for entry this is
+    ``P * outer(g, g) + diag(noise)`` for a symmetric ``P``, at
+    O(n * len(elapsed)) arithmetic on top of copying ``P``.
+    """
+    g = np.ones(st.n)
+    noise = {}
+    for k in sorted(elapsed):
+        decay = np.exp(-st.alpha * elapsed[k])
+        g[k] = decay
+        e_m = st.params[k + 1].epsilon ** 2 / (2.0 * st.alpha)
+        noise[k] = e_m * (1.0 - decay * decay)
+    p_new = st.P.copy()
+    for k in noise:
+        p_new[k, :] = p_new[:, k] = st.P[k, :] * (g[k] * g)
+    for k, add in noise.items():
+        p_new[k, k] += add
+    return replace(st, x_hat=g * st.x_hat, P=p_new)
+
+
 def net_predict(st: NetworkFilterState, dt: float) -> NetworkFilterState:
     """Advance the joint state by ``dt`` in closed form.
 
     Every state decays by ``e^{-alpha dt}``; the covariance contracts
     the same way and picks up independent process noise on the
     diagonal: ``P <- e^{-2 alpha dt} P + (1-e^{-2 alpha dt}) diag(eps_m^2/2 alpha)``.
+    This is :func:`net_predict_rows` over every row.
     """
     if dt < 0:
         raise ValueError(f"time went backwards: dt={dt!r}")
     if dt == 0:
         return st
-    decay = np.exp(-st.alpha * dt)
-    sq = decay * decay
-    ceilings = np.array(
-        [p.epsilon**2 / (2.0 * st.alpha) for p in st.params[1:]]
-    )
-    return replace(
-        st,
-        x_hat=decay * st.x_hat,
-        P=sq * st.P + (1.0 - sq) * np.diag(ceilings),
-        t_last=st.t_last + dt,
-    )
+    return replace(net_predict_rows(st, dict.fromkeys(range(st.n), dt)),
+                   t_last=st.t_last + dt)
 
 
 def _innovation_stats(st: NetworkFilterState, m: Measurement):

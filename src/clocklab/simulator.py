@@ -9,9 +9,10 @@ a matching), and drives one of three estimation protocols:
 
 * ``SS`` — per-link skew ratios smoothed by exponential forgetting,
   nodal values by spatial smoothing; the model-free baseline.
-* ``Hybrid`` — a restricted two-node network filter per link, nodal
-  skews by spatial smoothing of the link estimates.
-* ``MBCSP`` — the distributed whole-network filter.
+* ``Hybrid`` — one distributed filter (:class:`_Filter`) per link, over
+  the link's endpoints; nodal skews by spatial smoothing of the link
+  estimates.
+* ``MBCSP`` — one distributed filter of the same type over every node.
 
 All estimator state advances on *local* time-stamp differences only —
 no protocol code ever reads reference time.  Live runs and trace replay
@@ -32,6 +33,7 @@ import numpy as np
 from clocklab.clocks import ClockParams, clock_chunks, skew_normalizer
 from clocklab.measurement import (
     DelayModel,
+    Measurement,
     StampRecord,
     draw_delay,
     measurement_epoch,
@@ -42,6 +44,7 @@ from clocklab.measurement import (
 from clocklab.network import (
     NetworkFilterState,
     initial_network_state,
+    net_predict_rows,
     net_update_distributed,
     nodal_skew_estimate,
     relative_skew_readout,
@@ -59,6 +62,8 @@ __all__ = [
     "TRACE_HEADER",
     "Scenario",
     "MetricsReport",
+    "TraceRow",
+    "ProtocolMachine",
     "read_scenario",
     "quantize_stamp",
     "mac_arbitrate",
@@ -405,42 +410,50 @@ def read_trace_csv(path) -> list[TraceRow]:
 # --------------------------------------------------------------------------
 
 
-def _staleness_predict(st: NetworkFilterState, elapsed: dict[int, float]):
-    """Advance selected state rows by their own elapsed local times.
+class _Filter:
+    """A distributed network filter over the reference and ``nodes``.
 
-    ``elapsed`` maps state indices (0-based) to nonnegative local-time
-    differences.  Each named row decays by its own factor and collects
-    its own process noise; unnamed rows are left stale, to be advanced
-    when they next participate.
-
-    With ``g`` the decay factors (1 on unnamed rows), named row k
-    becomes ``P[k, :] * (g[k] * g)``, is copied onto column k, and then
-    ``P[k, k]`` gains the process noise: entry for entry this is
-    ``P * outer(g, g) + diag(noise)`` for a symmetric ``P``, at
-    O(n * len(elapsed)) arithmetic on top of copying ``P``.
+    ``loc`` maps node ids to the filter's numbering (0: reference) and
+    ``last`` holds each node's last update stamp, from which its rows
+    advance by its own local time when it next takes part.
     """
-    g = np.ones(st.n)
-    noise = {}
-    for k in sorted(elapsed):
-        decay = np.exp(-st.alpha * elapsed[k])
-        g[k] = decay
-        e_m = st.params[k + 1].epsilon ** 2 / (2.0 * st.alpha)
-        noise[k] = e_m * (1.0 - decay * decay)
-    p_new = st.P.copy()
-    for k in noise:
-        p_new[k, :] = p_new[:, k] = st.P[k, :] * (g[k] * g)
-    for k, add in noise.items():
-        p_new[k, k] += add
-    return replace(st, x_hat=g * st.x_hat, P=p_new)
 
+    def __init__(self, params, nodes) -> None:
+        nodes = tuple(nodes)
+        self.state = initial_network_state((params[0], *(params[m] for m in nodes)))
+        self.loc = {0: 0, **{m: r for r, m in enumerate(nodes, 1)}}
+        self.last = dict.fromkeys(nodes, 0.0)
 
-def _advanced(fs: NetworkFilterState, loc, last, now: dict[int, float]):
-    """``fs`` with the rows of the nodes in ``now`` advanced from their
-    last update stamps ``last[m]`` to the local stamps ``now[m]``;
-    ``loc`` maps node ids to the filter's numbering (0: reference)."""
-    return _staleness_predict(fs, {
-        loc[m] - 1: max(0.0, stamp - last[m]) for m, stamp in now.items() if loc[m] > 0
-    })
+    def _advanced(self, st: NetworkFilterState, loc, now: dict[int, float]):
+        """``st``, numbered by ``loc``, with the nodes in ``now`` advanced."""
+        return net_predict_rows(st, {
+            loc[m] - 1: max(0.0, stamp - self.last[m]) for m, stamp in now.items() if loc[m] > 0
+        })
+
+    def read(self, i: int, j: int, now: dict[int, float]):
+        """A state holding nodes i and j, the nodes in ``now`` advanced
+        to those local stamps, and its ``loc``.  A filter holding more
+        nodes is restricted to the pair first: staleness acts entry by
+        entry, so that gives the same values at O(1) cost.
+        """
+        st, loc = self.state, self.loc
+        nodes = [m for m in (i, j) if m != 0]
+        if len(nodes) < st.n:
+            ks = [loc[m] - 1 for m in nodes]
+            st = replace(st, x_hat=st.x_hat[ks], P=st.P[ks][:, ks],
+                         params=(st.params[0], *(st.params[loc[m]] for m in nodes)))
+            loc = {0: 0, **{m: r for r, m in enumerate(nodes, 1)}}
+        return self._advanced(st, loc, now), loc
+
+    def update(self, m: Measurement, now: dict[int, float]) -> None:
+        """Advance the link's endpoints to their stamps in ``now``, then
+        take the distributed update on ``m``."""
+        (i, j), loc = m.link, self.loc
+        st = self._advanced(self.state, loc, now)
+        self.state = net_update_distributed(st, replace(m, link=(loc[i], loc[j])))
+        for node, stamp in now.items():
+            if node != 0:
+                self.last[node] = stamp
 
 
 class _LinkValues:
@@ -506,34 +519,17 @@ class ProtocolMachine:
         # earlier legs of open exchanges, by (sequence number, kind)
         self._legs: dict[tuple[int, str], object] = {}
         self.orphans = 0
+        self.network: _Filter | None = None
         if sc.protocol == "MBCSP":
-            self.net = initial_network_state(self.params)
-            self.u_node = [0.0] * (self.n + 1)
+            self.network = _Filter(self.params, range(1, self.n + 1))
         elif sc.protocol == "Hybrid":
-            # One restricted filter per link.  A link touching the
-            # reference is a one-node filter; between two ordinary nodes
-            # the filter carries both (their sum stays at its prior —
-            # only the difference is ever measured).  ``loc`` maps global
-            # node ids to the filter's own node numbering.
-            self.links: dict[tuple[int, int], NetworkFilterState] = {}
-            self.u_link: dict[tuple[int, int], dict[int, float]] = {}
-            self.loc: dict[tuple[int, int], dict[int, int]] = {}
-            for (i, j) in sc.graph.edges:
-                if 0 in (i, j):
-                    other = j if i == 0 else i
-                    self.links[(i, j)] = initial_network_state(
-                        (self.params[0], self.params[other])
-                    )
-                    self.loc[(i, j)] = {0: 0, other: 1}
-                else:
-                    self.links[(i, j)] = initial_network_state(
-                        (ClockParams(sc.alpha, 0.0), self.params[i], self.params[j])
-                    )
-                    self.loc[(i, j)] = {i: 1, j: 2}
-                self.u_link[(i, j)] = {i: 0.0, j: 0.0}
+            # Between two ordinary nodes a link's filter carries both
+            # (their sum stays at its prior: only the difference is measured).
+            self.filters = {edge: _Filter(self.params, [m for m in edge if m != 0])
+                            for edge in sc.graph.edges}
             # each node's links, in graph order
             self.links_at: dict[int, list[tuple[int, int]]] = {}
-            for edge in self.links:
+            for edge in self.filters:
                 for node in edge:
                     self.links_at.setdefault(node, []).append(edge)
             self.rel_logskew = _LinkValues()
@@ -592,31 +588,16 @@ class ProtocolMachine:
                 return e
         raise ValueError(f"no edge between {a} and {b}")
 
-    def _link_state(self, i: int, j: int, now: dict[int, float]):
-        """A filter state holding nodes i and j, with the rows of the
-        nodes in ``now`` advanced to those local stamps, and ``loc``
-        mapping node ids to its own numbering.
-
-        For MBCSP this is the network filter restricted to the two
-        nodes: staleness acts entry by entry, so the restriction
-        advanced holds the same values as the whole filter advanced, at
-        O(1) cost.  For Hybrid it is the filter of the link between them.
-        """
-        if self.protocol == "Hybrid":
-            edge = self._edge_of(i, j)
-            loc = self.loc[edge]
-            return _advanced(self.links[edge], loc, self.u_link[edge], now), loc
-        st = self.net
-        nodes = [m for m in (i, j) if m != 0]
-        ks = [m - 1 for m in nodes]
-        fs = replace(st, x_hat=st.x_hat[ks], P=st.P[ks][:, ks],
-                     params=(st.params[0], *(st.params[m] for m in nodes)))
-        loc = {0: 0, **{m: r for r, m in enumerate(nodes, 1)}}
-        return _advanced(fs, loc, self.u_node, now), loc
+    def _filter(self, i: int, j: int) -> _Filter:
+        """The filter holding nodes i and j: the network filter, or the
+        filter of the link between them."""
+        if self.network is not None:
+            return self.network
+        return self.filters[self._edge_of(i, j)]
 
     def _relative_skew(self, i: int, j: int, now_i: float, now_j: float,
                        t_proxy: float) -> tuple[float, float, float]:
-        fs, loc = self._link_state(i, j, {i: now_i, j: now_j})
+        fs, loc = self._filter(i, j).read(i, j, {i: now_i, j: now_j})
         return relative_skew_readout(fs, loc[i], loc[j], t_proxy)
 
     # --------------------------------------------------- skew estimation
@@ -672,31 +653,14 @@ class ProtocolMachine:
             t_k=measurement_epoch(rec), delay_model=self.sc.delay,
             floor=self.sc.noise_floor,
         )
-        if self.protocol == "MBCSP":
-            # node ids are the network filter's own numbering
-            self.net = _advanced(self.net, range(self.n + 1), self.u_node,
-                                 {snd: s1, rcv: r1})
-            self.net = net_update_distributed(self.net, m)
-            if snd != 0:
-                self.u_node[snd] = s1
-            if rcv != 0:
-                self.u_node[rcv] = r1
+        self._filter(snd, rcv).update(m, {snd: s1, rcv: r1})
+        if self.protocol != "Hybrid":
             return
-        # Hybrid: restricted per-link filter, then spatial smoothing of
-        # the link estimates into nodal log-skews.
+        # Hybrid: spatial smoothing of the link estimates into nodal log-skews
         edge = self._edge_of(snd, rcv)
-        fs = _advanced(self.links[edge], self.loc[edge], self.u_link[edge],
-                       {snd: s1, rcv: r1})
-        fs = net_update_distributed(
-            fs, replace(m, link=(self.loc[edge][snd], self.loc[edge][rcv]))
-        )
-        self.links[edge] = fs
-        self.u_link[edge][snd] = s1
-        self.u_link[edge][rcv] = r1
-        xi, xj = (
-            float(fs.x_hat[fid - 1]) if fid > 0 else 0.0
-            for fid in (self.loc[edge][edge[0]], self.loc[edge][edge[1]])
-        )
+        f = self.filters[edge]
+        xi, xj = (float(f.state.x_hat[f.loc[node] - 1]) if node != 0 else 0.0
+                  for node in edge)
         self.rel_logskew.store(edge, xj - xi)
         for node, stamp in ((snd, s1), (rcv, r1)):
             if node != 0:
@@ -749,15 +713,14 @@ class ProtocolMachine:
         if m == 0:
             return 1.0
         if self.protocol == "MBCSP":
-            fs, loc = self._link_state(0, m, {m: tau_now})
+            fs, loc = self.network.read(0, m, {m: tau_now})
             return nodal_skew_estimate(fs, loc[m], tau_now)
         if self.protocol == "Hybrid":
             d = max(0.0, tau_now - self.u_skew[m])
             decay = np.exp(-self.sc.alpha * d)
             variances = []
             for edge in self.links_at.get(m, ()):
-                tmp = _advanced(self.links[edge], self.loc[edge], self.u_link[edge],
-                                {m: tau_now})
+                tmp, _ = self.filters[edge].read(*edge, {m: tau_now})
                 if 0 in edge:
                     variances.append(float(tmp.P[0, 0]))
                 else:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from clocklab.clocks import simulate_clock
 from clocklab.measurement import DELAY_KINDS, DelayModel
-from clocklab.network import nodal_skew_estimate, relative_skew_readout
+from clocklab.network import net_predict_rows, nodal_skew_estimate, relative_skew_readout
 from clocklab.simulator import (
     PROTOCOLS,
     TRACE_HEADER,
@@ -31,7 +31,6 @@ from clocklab.simulator import (
     write_trace_csv,
     _CHUNK_STEPS,
     _LinkValues,
-    _staleness_predict,
 )
 from clocklab.smoothing import RelativeEstimates, SyncGraph, jacobi_step
 
@@ -351,11 +350,12 @@ def test_mbcsp_readouts_match_the_dense_network_filter():
         t += rng.uniform(1e-3, 5e-2)
         s1, r0 = t + 4e-3, t + 5e-3
         m.skew_complete(snd, rcv, t, r0, s1, r0 + 4e-3 * rng.uniform(0.99, 1.01))
-    assert np.count_nonzero(m.net.P) > 10
+    net = m.network.state
+    assert np.count_nonzero(net.P) > 10
 
     def dense(now):
-        return dense_staleness_predict(m.net, {
-            k - 1: max(0.0, stamp - m.u_node[k]) for k, stamp in now.items() if k != 0})
+        return dense_staleness_predict(net, {
+            k - 1: max(0.0, stamp - m.network.last[k]) for k, stamp in now.items() if k != 0})
 
     for (i, j) in ring.edges + ((3, 1), (0, 2)):
         now_i, now_j = t + rng.uniform(-0.05, 0.05), t + rng.uniform(-0.05, 0.05)
@@ -368,9 +368,36 @@ def test_mbcsp_readouts_match_the_dense_network_filter():
         want = nodal_skew_estimate(dense({k: tau}), k, tau)
         assert m.nodal_skew(k, tau).hex() == want.hex()
     elapsed = {0: 0.03, 2: 0.01}
-    fast, slow = _staleness_predict(m.net, elapsed), dense_staleness_predict(m.net, elapsed)
+    fast, slow = net_predict_rows(net, elapsed), dense_staleness_predict(net, elapsed)
     np.testing.assert_array_equal(fast.P, slow.P)
     np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
+
+
+def test_hybrid_link_filter_is_the_network_filter_on_its_endpoints():
+    # On LINE3 the link (1, 2) holds every non-reference node, so the
+    # Hybrid filter of that link and the MBCSP network filter see the
+    # same state: fed the same pairs, they must agree exactly.
+    hyb, net = (ProtocolMachine(Scenario(graph=LINE3, alpha=10.0, epsilons=(0.0, 1.0, 0.6),
+                                         delay=DELAY, protocol=proto))
+                for proto in ("Hybrid", "MBCSP"))
+    rng = np.random.default_rng(5)
+    t = 0.0
+    for _ in range(20):
+        snd, rcv = (1, 2) if rng.uniform() < 0.5 else (2, 1)
+        t += rng.uniform(1e-3, 5e-2)
+        s1, r0 = t + 4e-3, t + 5e-3
+        r1 = r0 + 4e-3 * rng.uniform(0.99, 1.01)
+        for m in (hyb, net):
+            m.skew_complete(snd, rcv, t, r0, s1, r1)
+    link, whole = hyb.filters[(1, 2)].state, net.network.state
+    assert np.count_nonzero(whole.P) == 4
+    np.testing.assert_array_equal(link.x_hat, whole.x_hat)
+    np.testing.assert_array_equal(link.P, whole.P)
+    for (i, j) in ((1, 2), (2, 1)):
+        now_i, now_j = t + rng.uniform(0, 0.05), t + rng.uniform(0, 0.05)
+        for read in ("directed_skew", "symmetric_skew"):
+            want = getattr(net, read)(i, j, now_i, now_j, now_j)
+            assert getattr(hyb, read)(i, j, now_i, now_j, now_j).hex() == want.hex()
 
 
 def test_link_values_relax_like_jacobi_step():
