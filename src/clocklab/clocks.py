@@ -127,10 +127,6 @@ class RelParams:
         vi = ou_variance(t, ClockParams(self.alpha, self.eps_i)) if self.eps_i > 0 else 0.0
         return np.exp(vi)
 
-    def combined(self) -> ClockParams:
-        """The (alpha, eps_ij) pair driving the relative state X_j - X_i."""
-        return ClockParams(self.alpha, self.eps_ij)
-
 
 @dataclass(frozen=True)
 class AllanPoint:

@@ -49,13 +49,14 @@ from clocklab.network import (
     nodal_skew_estimate,
     relative_skew_readout,
 )
-from clocklab.smoothing import SyncGraph
+from clocklab.smoothing import RelativeEstimates, SyncGraph
 
 # Not called here: the per-layer trace of perfbench/tracing.py wraps these
 # names on this module, and a zero call count shows that the machine
-# relaxes from its stored adjacency and the engine streams its clocks.
+# relaxes over its stored links (RelativeEstimates.relax) and the engine
+# streams its clocks.
 from clocklab.clocks import simulate_clock  # noqa: F401
-from clocklab.smoothing import RelativeEstimates, jacobi_step  # noqa: F401
+from clocklab.smoothing import jacobi_step  # noqa: F401
 
 __all__ = [
     "PROTOCOLS",
@@ -137,6 +138,11 @@ class Scenario:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if not (self.skew_rate > 0 and self.offset_rate > 0):
             raise ValueError("exchange rates must be positive")
+        links = set()
+        for (i, j) in self.graph.edges:
+            if (j, i) in links or (i, j) in links:
+                raise ValueError(f"link ({i}, {j}) is listed twice: list each link once")
+            links.add((i, j))
         if not self.graph.is_connected():
             raise ValueError(
                 f"graph is not connected: some node has no path to the "
@@ -369,7 +375,6 @@ def write_trace_csv(rows, path) -> None:
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
         for r in rows:
-            tail = ""
             if r.true_send_t is not None:
                 tail = f"{r.true_send_t:.17g},{r.true_delay:.17g}"
             else:
@@ -456,41 +461,6 @@ class _Filter:
                 self.last[node] = stamp
 
 
-class _LinkValues:
-    """Relative values per directed link, with each node's links.
-
-    ``incident[node]`` lists the stored links that touch ``node`` in
-    the order they were first stored, which is the order in which
-    ``SyncGraph(edges=tuple(values))`` would list them.
-    """
-
-    def __init__(self) -> None:
-        self.values: dict[tuple[int, int], float] = {}
-        self.incident: dict[int, list[tuple[int, int]]] = {}
-
-    def store(self, link: tuple[int, int], value: float) -> None:
-        if not math.isfinite(value):
-            raise ValueError(f"estimate on edge {link} must be finite, got {value!r}")
-        if link not in self.values:
-            for node in link:
-                self.incident.setdefault(node, []).append(link)
-        self.values[link] = value
-
-    def relax(self, node: int, v: np.ndarray) -> None:
-        """Set ``v[node]`` to :func:`~clocklab.smoothing.jacobi_step` over
-        the stored links: the mean over incident links of the neighbour's
-        value plus the link value oriented toward ``node``.  Nodes with
-        no stored link, and the reference, keep their value."""
-        links = self.incident.get(node)
-        if node == 0 or not links:
-            return
-        total = 0.0
-        for (i, j) in links:
-            value = self.values[i, j]
-            total += v[i] + value if j == node else v[j] - value
-        v[node] = total / len(links)
-
-
 # The leg that each later packet kind completes.
 _EARLIER_LEG = {"skew-b": "skew-a", "off-rep": "off-req", "off-ack": "off-rep"}
 
@@ -509,7 +479,7 @@ class ProtocolMachine:
         self.params = sc.params
         self.protocol = sc.protocol
         # relative-offset bookkeeping (identical for all protocols)
-        self.rel_off = _LinkValues()
+        self.rel_off = RelativeEstimates()
         self.v_off = np.zeros(self.n + 1)
         self.u_off = [0.0] * (self.n + 1)
         # prediction records and counters
@@ -527,17 +497,12 @@ class ProtocolMachine:
             # (their sum stays at its prior: only the difference is measured).
             self.filters = {edge: _Filter(self.params, [m for m in edge if m != 0])
                             for edge in sc.graph.edges}
-            # each node's links, in graph order
-            self.links_at: dict[int, list[tuple[int, int]]] = {}
-            for edge in self.filters:
-                for node in edge:
-                    self.links_at.setdefault(node, []).append(edge)
-            self.rel_logskew = _LinkValues()
+            self.rel_logskew = RelativeEstimates()
             self.w_skew = np.zeros(self.n + 1)
             self.u_skew = [0.0] * (self.n + 1)
         else:  # SS
             self.ratios: dict[tuple[int, int], float] = {}
-            self.rel_logskew = _LinkValues()
+            self.rel_logskew = RelativeEstimates()
             self.w_skew = np.zeros(self.n + 1)
 
     # --------------------------------------------------- packet dispatch
@@ -583,7 +548,7 @@ class ProtocolMachine:
     # ----------------------------------------------------------- helpers
 
     def _edge_of(self, a: int, b: int) -> tuple[int, int]:
-        for e in self.links_at.get(a, ()):
+        for e in self.sc.graph.incident(a):
             if e == (a, b) or e == (b, a):
                 return e
         raise ValueError(f"no edge between {a} and {b}")
@@ -719,7 +684,7 @@ class ProtocolMachine:
             d = max(0.0, tau_now - self.u_skew[m])
             decay = np.exp(-self.sc.alpha * d)
             variances = []
-            for edge in self.links_at.get(m, ()):
+            for edge in self.sc.graph.incident(m):
                 tmp, _ = self.filters[edge].read(*edge, {m: tau_now})
                 if 0 in edge:
                     variances.append(float(tmp.P[0, 0]))

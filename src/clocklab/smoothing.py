@@ -8,12 +8,18 @@ equations (the oracle, and the best linear unbiased combination for
 equal link variances), and the asynchronous per-node relaxation that a
 deployed network would actually run, which converges to the same fixed
 point.
+
+:class:`SyncGraph` builds each node's incident edges once, and
+:class:`RelativeEstimates` is the one link store: the protocol machine
+fills it link by link and relaxes nodes over the links stored so far
+(:meth:`RelativeEstimates.relax`), while :func:`jacobi_step` relaxes
+over a graph's edges.  Both run the same relaxation loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,50 +56,70 @@ class SyncGraph:
                 raise ValueError(f"self-loop ({i}, {j}) not allowed")
             if not (0 <= i <= self.n and 0 <= j <= self.n):
                 raise ValueError(f"edge ({i}, {j}) references nodes outside 0..{self.n}")
-
-    def incident(self, node: int) -> list[tuple[tuple[int, int], int]]:
-        """Edges touching ``node`` with the neighbor on each."""
-        out = []
+        # Each node's edges in graph order; not a field, so eq, hash and
+        # repr see only n and edges, and dataclasses.replace rebuilds it.
+        incident: dict[int, list[tuple[int, int]]] = {k: [] for k in range(self.n + 1)}
         for e in self.edges:
-            if e[0] == node:
-                out.append((e, e[1]))
-            elif e[1] == node:
-                out.append((e, e[0]))
-        return out
+            incident[e[0]].append(e)
+            incident[e[1]].append(e)
+        object.__setattr__(self, "_incident", {k: tuple(v) for k, v in incident.items()})
+
+    def incident(self, node: int) -> tuple[tuple[int, int], ...]:
+        """Edges touching ``node``, in graph order."""
+        return self._incident.get(node, ())
 
     def is_connected(self) -> bool:
         seen = {0}
         frontier = [0]
-        adj: dict[int, list[int]] = {k: [] for k in range(self.n + 1)}
-        for (i, j) in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
         while frontier:
             u = frontier.pop()
-            for w in adj[u]:
+            for (i, j) in self._incident[u]:
+                w = j if i == u else i
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
         return len(seen) == self.n + 1
 
 
-@dataclass(frozen=True)
 class RelativeEstimates:
-    """One finite value per directed edge of the graph."""
+    """One finite value per directed link, with each node's links.
 
-    values: dict[tuple[int, int], float] = field(default_factory=dict)
+    ``links[node]`` lists the stored links that touch ``node`` in the
+    order they were first stored, which is the order in which
+    ``SyncGraph(edges=tuple(values))`` would list them.
+    """
 
-    def __post_init__(self) -> None:
-        clean = {(int(i), int(j)): float(v) for (i, j), v in self.values.items()}
-        for e, v in clean.items():
-            if not math.isfinite(v):
-                raise ValueError(f"estimate on edge {e} must be finite, got {v!r}")
-        object.__setattr__(self, "values", clean)
+    def __init__(self, values: dict[tuple[int, int], float] | None = None) -> None:
+        self.values: dict[tuple[int, int], float] = {}
+        self.links: dict[int, list[tuple[int, int]]] = {}
+        for (i, j), v in (values or {}).items():
+            self.store((int(i), int(j)), float(v))
 
-    def toward(self, edge: tuple[int, int], node: int) -> float:
-        """The edge's value oriented *toward* ``node`` (negated if stored away)."""
-        v = self.values[edge]
-        return v if edge[1] == node else -v
+    def store(self, link: tuple[int, int], value: float) -> None:
+        if not math.isfinite(value):
+            raise ValueError(f"estimate on edge {link} must be finite, got {value!r}")
+        if link not in self.values:
+            for node in link:
+                self.links.setdefault(node, []).append(link)
+        self.values[link] = value
+
+    def relax(self, node: int, v: np.ndarray) -> None:
+        """Set ``v[node]`` to the relaxation of :func:`jacobi_step` over
+        the stored links.  Nodes with no stored link, and the reference,
+        keep their value."""
+        links = self.links.get(node)
+        if node == 0 or not links:
+            return
+        v[node] = self._relaxed(node, v, links)
+
+    def _relaxed(self, node: int, v: np.ndarray, links) -> float:
+        """Mean over ``links`` of the neighbour's value plus the link
+        value oriented toward ``node`` (negated when stored away)."""
+        total = 0.0
+        for (i, j) in links:
+            value = self.values[i, j]
+            total += v[i] + value if j == node else v[j] - value
+        return total / len(links)
 
 
 @dataclass(frozen=True)
@@ -157,10 +183,7 @@ def jacobi_step(i: int, v: np.ndarray, g: SyncGraph, rel: RelativeEstimates) -> 
     inc = g.incident(i)
     if not inc:
         raise ValueError(f"isolated node {i}")
-    total = 0.0
-    for edge, nb in inc:
-        total += v[nb] + rel.toward(edge, i)
-    return total / len(inc)
+    return rel._relaxed(i, v, inc)
 
 
 def smooth(

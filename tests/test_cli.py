@@ -165,6 +165,14 @@ def test_simulate_config_error_names_key(tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
+def test_simulate_repeated_link_exits_two(tmp_path, capsys):
+    bad = tmp_path / "twice.scenario"
+    bad.write_text(FAST_SCENARIO.replace("edges = 0-1", "edges = 0-1, 1-0"))
+    assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+    assert "link (1, 0) is listed twice" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_bad_seed_exits_two(fast_scenario, tmp_path, capsys):
     assert main(["simulate", str(fast_scenario), "--out", str(tmp_path),
                  "--seed", "pi"]) == 2

@@ -1,6 +1,7 @@
 """Tests for the discrete-event protocol simulator."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,7 +31,6 @@ from clocklab.simulator import (
     write_metrics_csv,
     write_trace_csv,
     _CHUNK_STEPS,
-    _LinkValues,
 )
 from clocklab.smoothing import RelativeEstimates, SyncGraph, jacobi_step
 
@@ -78,6 +78,16 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="graph is not connected"):
         two_node(graph=SyncGraph(n=3, edges=((0, 1), (2, 3))),
                  epsilons=(0.0, 1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("edges, link", [
+    (((0, 1), (1, 2), (2, 1)), (2, 1)),
+    (((0, 1), (0, 1)), (0, 1)),
+], ids=["reversed", "repeated"])
+def test_scenario_rejects_repeated_link(edges, link):
+    graph = SyncGraph(n=max(map(max, edges)), edges=edges)  # the graph accepts it
+    with pytest.raises(ValueError, match=re.escape(f"link {link} is listed twice")):
+        two_node(graph=graph, epsilons=(0.0,) + (1.0,) * graph.n)
 
 
 def test_scenario_derived_properties():
@@ -402,7 +412,7 @@ def test_hybrid_link_filter_is_the_network_filter_on_its_endpoints():
 
 def test_link_values_relax_like_jacobi_step():
     rng = np.random.default_rng(8)
-    links = _LinkValues()
+    links = RelativeEstimates()
     for _ in range(30):  # repeated and reversed links included
         i, j = (int(k) for k in rng.choice(6, 2, replace=False))
         links.store((i, j), float(rng.normal()))

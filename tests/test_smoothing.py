@@ -1,6 +1,7 @@
 """Tests for graph smoothing of relative estimates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,9 +51,27 @@ def test_graph_validation():
 def test_estimates_validation():
     with pytest.raises(ValueError, match="finite"):
         RelativeEstimates({(0, 1): math.nan})
-    rel = RelativeEstimates({(0, 1): 0.5})
-    assert rel.toward((0, 1), 1) == 0.5
-    assert rel.toward((0, 1), 0) == -0.5
+    rel = RelativeEstimates({(np.int64(0), 1): np.float32(0.5)})
+    assert rel.values == {(0, 1): 0.5}
+    ((i, j), value), = rel.values.items()
+    assert (type(i), type(j), type(value)) == (int, int, float)
+
+
+def test_graph_incidence_built_once():
+    edges = ((0, 1), (1, 2), (2, 1), (0, 2))
+    g, same = SyncGraph(n=2, edges=edges), SyncGraph(n=2, edges=list(edges))
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert repr(g) == "SyncGraph(n=2, edges=((0, 1), (1, 2), (2, 1), (0, 2)))"
+    assert g.incident(0) == ((0, 1), (0, 2))
+    assert g.incident(1) == ((0, 1), (1, 2), (2, 1))  # both parallel edges, in order
+    assert g.incident(2) == ((1, 2), (2, 1), (0, 2))
+    assert g.incident(7) == ()
+    assert g.incident(1) is g.incident(1)  # the stored tuple, not a fresh list
+    grown = replace(g, n=3, edges=edges + ((2, 3),))
+    assert grown.incident(2) == ((1, 2), (2, 1), (0, 2), (2, 3))
+    assert grown.incident(3) == ((2, 3),)
+    assert g.incident(2) == ((1, 2), (2, 1), (0, 2)) and g.incident(3) == ()
+    assert grown.is_connected() and not replace(g, n=3).is_connected()
 
 
 # --------------------------------------------------------------- incidence
