@@ -126,7 +126,6 @@ class StampRecord:
     s: tuple[float, float]
     r: tuple[float, float]
     kind: str = "skew-pair"
-    true_send_times: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("skew-pair", "offset-roundtrip"):

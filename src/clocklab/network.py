@@ -15,6 +15,8 @@ it reduce to the scalar pairwise update.
 Prediction is per row: :func:`net_predict_rows` advances each named
 state by its own elapsed time, as a distributed node's rows age on its
 own clock; :func:`net_predict` advances every row by the same time.
+A state holds no clock of its own: callers keep the stamps that the
+elapsed times are taken from.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class NetworkFilterState:
 
     x_hat: np.ndarray
     P: np.ndarray
-    t_last: float
     params: tuple[ClockParams, ...]
 
     @property
@@ -64,7 +65,7 @@ class NetworkFilterState:
         return self.params[0].alpha
 
 
-def initial_network_state(params, t0: float = 0.0) -> NetworkFilterState:
+def initial_network_state(params) -> NetworkFilterState:
     """Startup state: every clock begins synchronized, so zeros.
 
     ``params`` lists one ClockParams per node, reference first; all
@@ -80,9 +81,7 @@ def initial_network_state(params, t0: float = 0.0) -> NetworkFilterState:
     if params[0].epsilon != 0.0:
         raise ValueError("reference clock must have zero diffusion")
     n = len(params) - 1
-    return NetworkFilterState(
-        x_hat=np.zeros(n), P=np.zeros((n, n)), t_last=t0, params=params
-    )
+    return NetworkFilterState(x_hat=np.zeros(n), P=np.zeros((n, n)), params=params)
 
 
 def measurement_selector(link: tuple[int, int], n: int) -> np.ndarray:
@@ -111,7 +110,7 @@ def net_predict_rows(st: NetworkFilterState,
     ``elapsed`` maps state indices (0-based) to nonnegative time
     differences.  Each named row decays by its own factor and collects
     its own process noise; unnamed rows are left stale, to be advanced
-    when they next participate.  ``t_last`` is unchanged.
+    when they next participate.
 
     With ``g`` the decay factors (1 on unnamed rows), named row k
     becomes ``P[k, :] * (g[k] * g)``, is copied onto column k, and then
@@ -146,8 +145,7 @@ def net_predict(st: NetworkFilterState, dt: float) -> NetworkFilterState:
         raise ValueError(f"time went backwards: dt={dt!r}")
     if dt == 0:
         return st
-    return replace(net_predict_rows(st, dict.fromkeys(range(st.n), dt)),
-                   t_last=st.t_last + dt)
+    return net_predict_rows(st, dict.fromkeys(range(st.n), dt))
 
 
 def _innovation_stats(st: NetworkFilterState, m: Measurement):

@@ -41,13 +41,13 @@ F_MODES = ("unity", "conditional-mean")
 class PairwiseFilterState:
     """Estimate and error variance of one link's relative log-skew.
 
-    ``t_last`` is the epoch of the last advance — reference time for
-    the optimal filter, the receiver's display for the suboptimal one.
+    It advances by elapsed time alone: reference time for the optimal
+    filter (:func:`predict`), the receiver's display for the suboptimal
+    one (:func:`suboptimal_predict`).
     """
 
     x_hat: float
     P: float
-    t_last: float
     rel: RelParams
 
 
@@ -72,9 +72,9 @@ class SubOptConfig:
             raise ValueError(f"gain_floor must be in [0, 1], got {self.gain_floor!r}")
 
 
-def initial_state(rel: RelParams, t0: float = 0.0) -> PairwiseFilterState:
+def initial_state(rel: RelParams) -> PairwiseFilterState:
     """Filter state at startup: clocks begin synchronized, so (0, 0)."""
-    return PairwiseFilterState(x_hat=0.0, P=0.0, t_last=t0, rel=rel)
+    return PairwiseFilterState(x_hat=0.0, P=0.0, rel=rel)
 
 
 def predict(st: PairwiseFilterState, dt: float) -> PairwiseFilterState:
@@ -100,7 +100,6 @@ def predict(st: PairwiseFilterState, dt: float) -> PairwiseFilterState:
         st,
         x_hat=decay * st.x_hat,
         P=sq * st.P + ceiling * (1.0 - sq),
-        t_last=st.t_last + dt,
     )
 
 

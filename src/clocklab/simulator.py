@@ -81,9 +81,9 @@ TRACE_HEADER = "kind,src,dst,seq,s_stamp,r_stamp,true_send_t,true_delay"
 STAMP_DIGITS = 12
 
 
-def quantize_stamp(x: float, digits: int = STAMP_DIGITS) -> float:
-    """Quantize a display reading to the stamp resolution (significant digits)."""
-    return float(f"{x:.{digits}g}")
+def quantize_stamp(x: float) -> float:
+    """Quantize a display reading to ``STAMP_DIGITS`` significant digits."""
+    return float(f"{x:.{STAMP_DIGITS}g}")
 
 
 # --------------------------------------------------------------------------
@@ -203,16 +203,15 @@ def read_scenario(path) -> Scenario:
                 raise ValueError(f"line {ln}: expected `key = value`, got {line!r}")
             key = section + key.strip()
             val = val.strip()
+            is_epsilon = key.startswith("epsilon_")
+            if not (is_epsilon or key in _SCENARIO_KEYS or key in _DELAY_KEYS):
+                raise ValueError(f"unknown scenario key {key!r} (line {ln})")
             try:
-                if key.startswith("epsilon_"):
+                if is_epsilon:
                     epsilons[int(key[len("epsilon_"):])] = float(val)
-                elif key in _SCENARIO_KEYS or key in _DELAY_KEYS:
-                    values[key] = _parse_value(key, val)
                 else:
-                    raise ValueError(f"unknown scenario key {key!r} (line {ln})")
-            except ValueError as exc:
-                if "unknown scenario key" in str(exc):
-                    raise
+                    values[key] = _parse_value(key, val)
+            except ValueError:
                 raise ValueError(f"line {ln}: bad value for {key!r}: {val!r}") from None
     for req in ("nodes", "edges", "alpha", "delay.kind", "delay.mean"):
         if req not in values:
@@ -470,7 +469,9 @@ class ProtocolMachine:
 
     The engine and the trace replayer both pass every arrived packet to
     :meth:`deliver` in arrival order; readouts never mutate state, so
-    evaluation sampling cannot perturb a run.
+    evaluation sampling cannot perturb a run.  A link's relative skew
+    is read once per decision, by :meth:`relative_skew`, at the
+    receiver's stamp.
     """
 
     def __init__(self, sc: Scenario):
@@ -484,7 +485,7 @@ class ProtocolMachine:
         self.u_off = [0.0] * (self.n + 1)
         # prediction records and counters
         self.pred_pairs: dict[int, list[tuple[float, float]]] = {}
-        self.completed: dict[tuple[int, int], int] = {}
+        self.completed: set[tuple[int, int]] = set()  # links with a finished pair
         self.out_of_order = 0
         # earlier legs of open exchanges, by (sequence number, kind)
         self._legs: dict[tuple[int, str], object] = {}
@@ -560,35 +561,25 @@ class ProtocolMachine:
             return self.network
         return self.filters[self._edge_of(i, j)]
 
-    def _relative_skew(self, i: int, j: int, now_i: float, now_j: float,
-                       t_proxy: float) -> tuple[float, float, float]:
-        fs, loc = self._filter(i, j).read(i, j, {i: now_i, j: now_j})
-        return relative_skew_readout(fs, loc[i], loc[j], t_proxy)
-
     # --------------------------------------------------- skew estimation
 
-    def directed_skew(self, i: int, j: int, now_i: float, now_j: float,
-                      t_proxy: float) -> float:
-        """Current estimate of a_ij = a_j/a_i, staleness-adjusted."""
-        if self.protocol != "SS":
-            return self._relative_skew(i, j, now_i, now_j, t_proxy)[0]
-        # SS: held ratio, either direction
-        if (i, j) in self.ratios:
-            return self.ratios[(i, j)]
-        if (j, i) in self.ratios:
-            return 1.0 / self.ratios[(j, i)]
-        return 1.0
+    def relative_skew(self, i: int, j: int, now_i: float,
+                      now_j: float) -> tuple[float, float | None]:
+        """Estimates of a_ij = a_j/a_i at j's stamp ``now_j``: the
+        directed one, staleness-adjusted, and the symmetrized one.
 
-    def symmetric_skew(self, i: int, j: int, now_i: float, now_j: float,
-                       t_proxy: float) -> float | None:
-        """Symmetrized a_ij estimate (SS: the raw held ratio; None if unset)."""
-        if self.protocol != "SS":
-            return self._relative_skew(i, j, now_i, now_j, t_proxy)[2]
-        if (i, j) in self.ratios:
-            return self.ratios[(i, j)]
-        if (j, i) in self.ratios:
-            return 1.0 / self.ratios[(j, i)]
-        return None
+        The filter protocols advance i and j to their stamps first.  SS
+        returns its held ratio, either direction, for both, and
+        ``(1.0, None)`` before the link has one.
+        """
+        if self.protocol == "SS":
+            held = self.ratios.get((i, j))
+            if held is None and (j, i) in self.ratios:
+                held = 1.0 / self.ratios[(j, i)]
+            return (1.0, None) if held is None else (held, held)
+        fs, loc = self._filter(i, j).read(i, j, {i: now_i, j: now_j})
+        a_ij, _, a_sym = relative_skew_readout(fs, loc[i], loc[j], now_j)
+        return a_ij, a_sym
 
     def skew_complete(self, snd: int, rcv: int, s0: float, r0: float,
                       s1: float, r1: float) -> None:
@@ -596,11 +587,11 @@ class ProtocolMachine:
         if r1 - r0 <= 0:
             self.out_of_order += 1
         key = (snd, rcv)
-        if self.completed.get(key, 0) >= 1:
-            a_hat = self.directed_skew(snd, rcv, s0, r0, t_proxy=r0)
+        if key in self.completed:
+            a_hat = self.relative_skew(snd, rcv, s0, r0)[0]
             r_hat = predict_receipt(s0, r0, s1, a_hat)
             self.pred_pairs.setdefault(rcv, []).append((r_hat, r1))
-        self.completed[key] = self.completed.get(key, 0) + 1
+        self.completed.add(key)
         if r1 == r0:
             return  # same-slot receipts: no receive interval to measure
 
@@ -637,25 +628,23 @@ class ProtocolMachine:
     def reply_payload(self, i: int, j: int, s_i: float, r_ij: float) -> float | None:
         """Skew value node j attaches to its roundtrip reply (snapshotted
         when the request arrives, so replay lands on the same state)."""
-        return self.symmetric_skew(i, j, s_i, r_ij, t_proxy=r_ij)
+        return self.relative_skew(i, j, s_i, r_ij)[1]
 
     def off_reply_arrived(self, i: int, j: int, s_i: float, r_ij: float,
                           s_j: float, r_ji: float,
                           carried: float | None) -> float | None:
-        """Roundtrip closed at the initiator: estimate offset and delays."""
-        if self.protocol == "SS":
-            a_ij = carried
-            if a_ij is None:
-                own = self.ratios.get((j, i))
-                a_ij = (1.0 / own) if own else None
-            if a_ij is None:
-                return None
-            own = self.ratios.get((j, i))
-            a_ji = own if own is not None else 1.0 / a_ij
-        else:
-            if carried is None:
-                return None
-            a_ij, a_ji = carried, 1.0 / carried
+        """Roundtrip closed at the initiator: estimate offset and delays.
+
+        ``carried`` is the replier's :meth:`reply_payload`.  SS falls
+        back on the initiator's own held ratio on (j, i), for a_ij when
+        nothing was carried and for a_ji always; otherwise a_ji is the
+        reciprocal of a_ij.  Returns None when there is no a_ij.
+        """
+        own = self.ratios.get((j, i)) if self.protocol == "SS" else None
+        a_ij = carried if carried is not None else (1.0 / own if own else None)
+        if a_ij is None:
+            return None
+        a_ji = own if own is not None else 1.0 / a_ij
         rec = StampRecord(link=(i, j), s=(s_i, s_j), r=(r_ij, r_ji),
                           kind="offset-roundtrip")
         tau_ij, _, _ = offset_delay_estimate(rec, a_ij, a_ji)

@@ -193,7 +193,6 @@ def smooth(
     max_iter: int = 10_000,
     schedule: str = "random",
     seed: int = 0,
-    v0: np.ndarray | None = None,
 ) -> SmoothResult:
     """Iterate per-node relaxations until the largest change drops below tol.
 
@@ -207,8 +206,7 @@ def smooth(
     if schedule not in ("sweep", "random"):
         raise ValueError(f"unknown schedule {schedule!r}")
     _edge_vector(g, rel)  # validate coverage up front
-    v = np.zeros(g.n + 1) if v0 is None else np.asarray(v0, dtype=float).copy()
-    v[0] = 0.0
+    v = np.zeros(g.n + 1)
     if math.isinf(tol):  # any change is acceptable: nothing to do
         return SmoothResult(values=v, sweeps=0, converged=True, final_delta=0.0)
     rng = np.random.default_rng(seed)

@@ -36,7 +36,7 @@ def diag_state(diag, params=P4):
     st = initial_network_state(params)
     return st.__class__(
         x_hat=np.zeros(len(diag)), P=np.diag(np.asarray(diag, dtype=float)),
-        t_last=0.0, params=st.params,
+        params=st.params,
     )
 
 
@@ -82,14 +82,13 @@ def test_net_predict_reaches_stationary_diag():
     st = net_predict(initial_network_state(P4), 100.0)
     want = np.diag([p.epsilon**2 / 20.0 for p in P4[1:]])
     np.testing.assert_allclose(st.P, want, rtol=1e-12, atol=0)
-    assert st.t_last == 100.0
 
 
 def test_net_predict_semigroup():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 3))
     st = diag_state([0.1, 0.2, 0.3]).__class__(
-        x_hat=rng.normal(size=3), P=a @ a.T, t_last=0.0, params=P4
+        x_hat=rng.normal(size=3), P=a @ a.T, params=P4
     )
     one = net_predict(st, 0.34)
     two = net_predict(net_predict(st, 0.17), 0.17)
@@ -131,7 +130,7 @@ def test_optimal_internal_link_hand_expansion():
 
 def test_optimal_degenerate_covariance_error():
     st = diag_state([0.1, 0.2, 0.3])
-    bad = st.__class__(x_hat=st.x_hat, P=-np.eye(3), t_last=0.0, params=P4)
+    bad = st.__class__(x_hat=st.x_hat, P=-np.eye(3), params=P4)
     with pytest.raises(ValueError, match="covariance degenerate"):
         net_update_optimal(bad, meas((1, 2), y=0.0, sigma2=0.1))
 
@@ -191,7 +190,7 @@ def test_distributed_locality_with_general_covariance():
     a = rng.normal(size=(3, 3))
     st = initial_network_state(P4).__class__(
         x_hat=rng.normal(size=3), P=a @ a.T + 0.5 * np.eye(3),
-        t_last=0.0, params=P4,
+        params=P4,
     )
     out = net_update_distributed(st, meas((1, 2), y=0.4, sigma2=0.01))
     assert out.x_hat[2] == st.x_hat[2]
@@ -224,7 +223,7 @@ def test_distributed_matches_dense_joseph_form(n):
         a = rng.normal(size=(n, n))
         st = initial_network_state(params).__class__(
             x_hat=rng.normal(size=n), P=a @ a.T + 0.1 * np.eye(n),
-            t_last=0.0, params=params,
+            params=params,
         )
         m = meas(link, y=rng.normal(), sigma2=rng.uniform(1e-4, 1.0))
         out = net_update_distributed(st, m)
@@ -289,7 +288,7 @@ def test_nodal_skew_trivial_and_reference():
 def test_nodal_skew_closed_form():
     st = diag_state([0.01, 0.0, 0.0])
     st = st.__class__(
-        x_hat=np.array([0.05, 0.0, 0.0]), P=st.P, t_last=0.3, params=P4
+        x_hat=np.array([0.05, 0.0, 0.0]), P=st.P, params=P4
     )
     want = skew_normalizer(0.3, P4[1]) * math.exp(0.05 + 0.005)
     assert nodal_skew_estimate(st, 1, 0.3) == pytest.approx(want, rel=1e-14)
@@ -304,9 +303,9 @@ def test_relative_readout_matches_pairwise_on_two_nodes():
     rel = RelParams(alpha=10.0, eps_i=0.0, eps_j=1.0)
     net = initial_network_state((REF, ClockParams(10.0, 1.0)))
     net = net.__class__(
-        x_hat=np.array([0.1]), P=np.array([[0.02]]), t_last=0.0, params=net.params
+        x_hat=np.array([0.1]), P=np.array([[0.02]]), params=net.params
     )
-    pair = PairwiseFilterState(x_hat=0.1, P=0.02, t_last=0.0, rel=rel)
+    pair = PairwiseFilterState(x_hat=0.1, P=0.02, rel=rel)
     for t in (0.0, 0.05, 2.0):
         a_ij, a_ji, sym = relative_skew_readout(net, 0, 1, t)
         pa_ij, pa_ji = relative_skew_estimate(pair, t)
@@ -320,7 +319,7 @@ def test_relative_readout_identities():
     a = rng.normal(size=(3, 3))
     st = initial_network_state(P4).__class__(
         x_hat=rng.normal(size=3, scale=0.2), P=0.01 * (a @ a.T),
-        t_last=0.0, params=P4,
+        params=P4,
     )
     for (i, j) in [(1, 2), (0, 3), (2, 3), (3, 1)]:
         a_ij, a_ji, sym_ij = relative_skew_readout(st, i, j, 0.7)

@@ -37,21 +37,19 @@ def test_initial_state():
     st0 = initial_state(REL)
     assert st0.x_hat == 0.0
     assert st0.P == 0.0
-    assert st0.t_last == 0.0
     assert st0.rel is REL
 
 
 def test_predict_zero_dt_is_identity():
-    st0 = PairwiseFilterState(x_hat=0.3, P=0.02, t_last=1.5, rel=REL)
+    st0 = PairwiseFilterState(x_hat=0.3, P=0.02, rel=REL)
     assert predict(st0, 0.0) is st0
 
 
 def test_predict_closed_form():
-    st0 = PairwiseFilterState(x_hat=1.0, P=0.0, t_last=0.0, rel=REL)
+    st0 = PairwiseFilterState(x_hat=1.0, P=0.0, rel=REL)
     st1 = predict(st0, 0.1)
     assert st1.x_hat == pytest.approx(math.exp(-1.0), rel=1e-14)
     assert st1.P == pytest.approx(0.08646647167633874, rel=1e-13)
-    assert st1.t_last == pytest.approx(0.1)
 
 
 def test_predict_rejects_negative_dt():
@@ -80,7 +78,7 @@ def test_predict_variance_climbs_to_ceiling_from_below():
 )
 @settings(max_examples=50, deadline=None)
 def test_predict_composes_as_semigroup(dt1, dt2, x0, p0):
-    st0 = PairwiseFilterState(x_hat=x0, P=p0, t_last=0.0, rel=REL)
+    st0 = PairwiseFilterState(x_hat=x0, P=p0, rel=REL)
     direct = predict(st0, dt1 + dt2)
     staged = predict(predict(st0, dt1), dt2)
     assert staged.x_hat == pytest.approx(direct.x_hat, abs=1e-14)
@@ -91,14 +89,14 @@ def test_predict_composes_as_semigroup(dt1, dt2, x0, p0):
 
 
 def test_update_with_huge_noise_is_a_noop():
-    st0 = PairwiseFilterState(x_hat=0.4, P=0.05, t_last=0.0, rel=REL)
+    st0 = PairwiseFilterState(x_hat=0.4, P=0.05, rel=REL)
     st1 = update(st0, meas(y=5.0, sigma2=1e30))
     assert st1.x_hat == pytest.approx(0.4, abs=1e-12)
     assert st1.P == pytest.approx(0.05, rel=1e-12)
 
 
 def test_update_equal_prior_and_noise_halves():
-    st0 = PairwiseFilterState(x_hat=0.0, P=0.01, t_last=0.0, rel=REL)
+    st0 = PairwiseFilterState(x_hat=0.0, P=0.01, rel=REL)
     st1 = update(st0, meas(y=1.0, sigma2=0.01))
     assert st1.x_hat == pytest.approx(0.5)
     assert st1.P == pytest.approx(0.005)
@@ -112,7 +110,7 @@ def test_update_equal_prior_and_noise_halves():
 )
 @settings(max_examples=100, deadline=None)
 def test_update_strictly_shrinks_variance(p0, s2, y):
-    st0 = PairwiseFilterState(x_hat=0.1, P=p0, t_last=0.0, rel=REL)
+    st0 = PairwiseFilterState(x_hat=0.1, P=p0, rel=REL)
     st1 = update(st0, meas(y=y, sigma2=s2))
     assert 0.0 < st1.P < p0
     assert 0.0 < kalman_gain(p0, s2) < 1.0
@@ -155,7 +153,7 @@ def test_relative_skew_estimate_fresh_state_is_unity():
 
 def test_relative_skew_estimate_closed_form():
     rel = RelParams(alpha=10.0, eps_i=0.5, eps_j=1.5)
-    st0 = PairwiseFilterState(x_hat=0.2, P=0.03, t_last=0.1, rel=rel)
+    st0 = PairwiseFilterState(x_hat=0.2, P=0.03, rel=rel)
     a_ij, a_ji = relative_skew_estimate(st0, 0.1)
     c = rel.c_ij(0.1)
     assert a_ij == pytest.approx(c * math.exp(0.2 + 0.015), rel=1e-14)
@@ -174,7 +172,7 @@ def test_relative_skew_estimates_multiply_to_exp_P(x, p, t, ei, ej):
     # The two directed estimates always multiply to e^P: the
     # deterministic normalizers are reciprocal for any noise split.
     rel = RelParams(alpha=10.0, eps_i=ei, eps_j=ej)
-    st0 = PairwiseFilterState(x_hat=x, P=p, t_last=t, rel=rel)
+    st0 = PairwiseFilterState(x_hat=x, P=p, rel=rel)
     a_ij, a_ji = relative_skew_estimate(st0, t)
     assert a_ij * a_ji == pytest.approx(math.exp(p), rel=1e-12)
 
@@ -271,14 +269,14 @@ def test_suboptimal_config_validation():
 
 
 def test_suboptimal_predict_zero_dtau_is_identity():
-    st0 = PairwiseFilterState(x_hat=0.3, P=0.02, t_last=1.0, rel=REL)
+    st0 = PairwiseFilterState(x_hat=0.3, P=0.02, rel=REL)
     assert suboptimal_predict(st0, 0.0, SubOptConfig()) is st0
     with pytest.raises(ValueError, match="time went backwards"):
         suboptimal_predict(st0, -0.1, SubOptConfig())
 
 
 def test_suboptimal_unity_mode_matches_predict():
-    st0 = PairwiseFilterState(x_hat=0.3, P=0.02, t_last=1.0, rel=REL)
+    st0 = PairwiseFilterState(x_hat=0.3, P=0.02, rel=REL)
     a = suboptimal_predict(st0, 0.37, SubOptConfig(f_mode="unity"))
     b = predict(st0, 0.37)
     assert a == b
@@ -286,7 +284,7 @@ def test_suboptimal_unity_mode_matches_predict():
 
 def test_suboptimal_conditional_mean_rescales_elapsed_time():
     rel = RelParams(alpha=10.0, eps_i=0.5, eps_j=1.5)
-    st0 = PairwiseFilterState(x_hat=0.5, P=0.02, t_last=0.0, rel=rel)
+    st0 = PairwiseFilterState(x_hat=0.5, P=0.02, rel=rel)
     f = rel.c_ij_inf * math.exp(0.5 + 0.01)
     a = suboptimal_predict(st0, 0.3, SubOptConfig(f_mode="conditional-mean"))
     b = predict(st0, 0.3 / f)
@@ -295,7 +293,7 @@ def test_suboptimal_conditional_mean_rescales_elapsed_time():
 
 
 def test_suboptimal_update_caps_the_gain():
-    st0 = PairwiseFilterState(x_hat=0.0, P=1.0, t_last=0.0, rel=REL)
+    st0 = PairwiseFilterState(x_hat=0.0, P=1.0, rel=REL)
     cfg = SubOptConfig(gain_floor=0.9)
     st1 = suboptimal_update(st0, meas(y=1.0, sigma2=1e-8), cfg)
     assert st1.x_hat == pytest.approx(0.9)  # raw gain would be ~1

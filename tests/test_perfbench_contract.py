@@ -2,14 +2,19 @@
 
 ``perfbench/tracing.py`` replaces attributes of ``clocklab.simulator``,
 ``clocklab.clocks`` and ``ProtocolMachine`` by name; a name that a
-refactor removes or renames makes ``perfbench/run.py --trace 1`` fail.
+refactor removes or renames makes ``perfbench/run.py --trace 1`` fail,
+and a name the program stops calling reads zero in the per-layer counts.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import clocklab.clocks as clocks
 import clocklab.simulator as simulator
+from clocklab.measurement import DelayModel
+from clocklab.smoothing import SyncGraph
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -31,3 +36,40 @@ def test_traced_names_resolve_on_the_program():
         assert callable(getattr(simulator.ProtocolMachine, method, None)), method
     for name in ("run_scenario", "trace_replay"):
         assert callable(getattr(simulator, name, None)), name
+
+
+# The traced simulator names each protocol's machine calls, beyond the
+# MACHINE_METHODS and the offset and prediction steps every protocol takes.
+_FILTER_CALLS = {"skew_measurement", "relative_skew_readout", "net_update_distributed"}
+_PROTOCOL_CALLS = {
+    "SS": set(),
+    "Hybrid": _FILTER_CALLS,
+    "MBCSP": _FILTER_CALLS | {"nodal_skew_estimate"},
+}
+_COMMON_CALLS = {"offset_delay_estimate", "predict_receipt"}
+
+
+@pytest.mark.parametrize("protocol", simulator.PROTOCOLS)
+def test_traced_machine_calls_happen(protocol, monkeypatch):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    watched = _COMMON_CALLS | _PROTOCOL_CALLS["MBCSP"]
+    spans = {}
+    for span, attr in tracing._SIMULATOR_NAMES:
+        if attr in watched:
+            monkeypatch.setattr(simulator, attr, tracer.wrap(span, getattr(simulator, attr)))
+            spans[attr] = span
+    for method in tracing.MACHINE_METHODS:
+        span = f"simulator.ProtocolMachine.{method}"
+        monkeypatch.setattr(simulator.ProtocolMachine, method,
+                            tracer.wrap(span, getattr(simulator.ProtocolMachine, method)))
+        spans[method] = span
+    assert set(spans) == watched | set(tracing.MACHINE_METHODS)
+    sc = simulator.Scenario(
+        graph=SyncGraph(n=1, edges=((0, 1),)), alpha=10.0, epsilons=(0.0, 1.0),
+        delay=DelayModel(kind="uniform", mean=5e-3, spread=5e-5), dt=1e-4,
+        horizon=2.0, skew_rate=5.0, protocol=protocol, seed=1)
+    simulator.run_scenario(sc)
+    tracer.fold()
+    called = {name for name, span in spans.items() if tracer.totals[span]["calls"] > 0}
+    assert called == set(tracing.MACHINE_METHODS) | _COMMON_CALLS | _PROTOCOL_CALLS[protocol]

@@ -1,10 +1,13 @@
-"""Each clocklab module's ``__all__`` matches its public definitions, and
-something in the source, the tests or the benchmark refers to each of them."""
+"""Each clocklab module's ``__all__`` matches its public definitions,
+something in the source, the tests or the benchmark refers to each of
+them, and some call there sets each of their defaulted parameters."""
 
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -87,3 +90,95 @@ def test_every_public_definition_is_referenced():
         for dotted, name in public_definitions(tree) if name not in used
     )
     assert not unused, f"public definitions nothing refers to: {unused}"
+
+
+def _decorators(node):
+    """Names of ``node``'s decorators, call arguments dropped."""
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        yield d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)
+
+
+def _init_fields(node):
+    """The fields of a dataclass that its constructor takes, in order."""
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                and any(k.arg == "init" and getattr(k.value, "value", None) is False
+                        for k in value.keywords)):
+            continue
+        yield item
+
+
+def _defaulted(fn, name, skip_first):
+    """``(name, parameter, position, False)`` of each defaulted parameter
+    of ``fn``; the position counts the arguments before it in a call and
+    is None for a keyword-only parameter."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if skip_first else 0:]
+    first_default = len(positional) - len(args.defaults)
+    for pos, arg in enumerate(positional[first_default:], first_default):
+        yield name, arg.arg, pos, False
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield name, arg.arg, None, False
+
+
+def defaulted_parameters(tree):
+    """``(called name, parameter, position, is_field)`` of each defaulted
+    parameter of a public function, method or constructor, and of each
+    defaulted public dataclass field, in one module.  Constructors and
+    fields are called by their class's name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _defaulted(node, node.name, skip_first=False)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if "dataclass" in set(_decorators(node)):
+            for pos, item in enumerate(_init_fields(node)):
+                if item.value is not None and not item.target.id.startswith("_"):
+                    yield node.name, item.target.id, pos, True
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and (
+                    item.name == "__init__" or not item.name.startswith("_")):
+                name = node.name if item.name == "__init__" else item.name
+                static = "staticmethod" in set(_decorators(item))
+                yield from _defaulted(item, name, skip_first=not static)
+
+
+def call_settings(trees):
+    """Per called name, the keywords its calls pass and the most
+    positional arguments one call passes; a ``*`` or ``**`` argument
+    sets every parameter.  ``dataclasses.replace`` calls are under
+    ``"replace"``."""
+    keywords, positional = defaultdict(set), defaultdict(int)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+            positional[name] = max(positional[name], math.inf if unpacked else len(node.args))
+            keywords[name].update(k.arg for k in node.keywords if k.arg is not None)
+    return keywords, positional
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    """A default that no call in the source, the tests or the benchmark
+    overrides is a setting with one value: make it a constant."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    keywords, positional = call_settings(trees.values())
+    package = ROOT / "src" / "clocklab"
+    unset = sorted(
+        f"{path.stem}.{name}({param})"
+        for path, tree in trees.items() if path.parent == package
+        for name, param, pos, is_field in defaulted_parameters(tree)
+        if not (param in keywords[name]
+                or (pos is not None and positional[name] > pos)
+                or (is_field and param in keywords["replace"]))
+    )
+    assert not unset, f"defaulted parameters no call sets: {unset}"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clocklab.clocks import simulate_clock
-from clocklab.measurement import DELAY_KINDS, DelayModel
+from clocklab.measurement import DELAY_KINDS, DelayModel, StampRecord, offset_delay_estimate
 from clocklab.network import net_predict_rows, nodal_skew_estimate, relative_skew_readout
 from clocklab.simulator import (
     PROTOCOLS,
@@ -310,15 +310,39 @@ def test_quantize_stamp():
 def test_ss_forgetting_and_fallbacks():
     sc = two_node(protocol="SS", ss_lambda=0.05)
     m = ProtocolMachine(sc)
-    assert m.directed_skew(0, 1, 0.0, 0.0, 0.0) == 1.0  # nothing seen yet
+    assert m.relative_skew(0, 1, 0.0, 0.0) == (1.0, None)  # nothing seen yet
     m.skew_complete(0, 1, 0.0, 0.0, 1.0, 2.0)  # ratio 2
     assert m.ratios[(0, 1)] == 2.0
     m.skew_complete(0, 1, 0.0, 0.0, 1.0, 2.0)
     assert m.ratios[(0, 1)] == pytest.approx(2.0)
     m.skew_complete(0, 1, 0.0, 0.0, 1.0, 4.0)  # ratio 4
     assert m.ratios[(0, 1)] == pytest.approx(0.95 * 2.0 + 0.05 * 4.0)
-    assert m.directed_skew(1, 0, 0.0, 0.0, 0.0) == pytest.approx(1.0 / 2.1)
+    assert m.relative_skew(1, 0, 0.0, 0.0)[0] == pytest.approx(1.0 / 2.1)
     assert m.nodal_skew(1, 0.0) == pytest.approx(2.1)  # single link: w = log ratio
+
+
+@pytest.mark.parametrize("proto, carried, own, skews", [
+    ("SS", 1.25, None, (1.25, 0.8)),   # carried; a_ji its reciprocal
+    ("SS", 1.25, 0.5, (1.25, 0.5)),    # carried; a_ji the own ratio
+    ("SS", None, 0.5, (2.0, 0.5)),     # both from the own ratio
+    ("SS", None, None, None),          # no skew yet: no offset
+    ("Hybrid", None, None, None),      # the filters need the carried skew
+    ("MBCSP", None, None, None),
+])
+def test_offset_reply_skews(proto, carried, own, skews):
+    m = ProtocolMachine(two_node(protocol=proto))
+    if own is not None:
+        m.ratios[(0, 1)] = own  # the initiator's held ratio on (j, i)
+    s_i, r_ij, s_j, r_ji = 1.0, 1.004, 1.006, 1.0101
+    tau = m.off_reply_arrived(1, 0, s_i, r_ij, s_j, r_ji, carried)
+    if skews is None:
+        assert tau is None
+        assert m.rel_off.values == {} and m.u_off[1] == 0.0
+        return
+    rec = StampRecord(link=(1, 0), s=(s_i, s_j), r=(r_ij, r_ji), kind="offset-roundtrip")
+    want = offset_delay_estimate(rec, *skews)[0]
+    assert tau.hex() == want.hex()
+    assert m.rel_off.values == {(1, 0): want} and m.u_off[1] == r_ji
 
 
 def test_out_of_order_counter():
@@ -335,7 +359,7 @@ def test_same_slot_receipts_skip_the_measurement(proto):
     m = ProtocolMachine(two_node(protocol=proto))
     m.skew_complete(0, 1, 0.0, 1.5, 1.0, 1.5)  # SS would take log(0)
     assert m.out_of_order == 1
-    assert m.completed[(0, 1)] == 1
+    assert m.completed == {(0, 1)}
     assert m.nodal_skew(1, 1.5) == ProtocolMachine(m.sc).nodal_skew(1, 1.5)
 
 
@@ -370,8 +394,9 @@ def test_mbcsp_readouts_match_the_dense_network_filter():
     for (i, j) in ring.edges + ((3, 1), (0, 2)):
         now_i, now_j = t + rng.uniform(-0.05, 0.05), t + rng.uniform(-0.05, 0.05)
         want = relative_skew_readout(dense({i: now_i, j: now_j}), i, j, now_j)
-        assert m.directed_skew(i, j, now_i, now_j, now_j).hex() == want[0].hex()
-        assert m.symmetric_skew(i, j, now_i, now_j, now_j).hex() == want[2].hex()
+        a_ij, a_sym = m.relative_skew(i, j, now_i, now_j)
+        assert a_ij.hex() == want[0].hex()
+        assert a_sym.hex() == want[2].hex()
         assert m.reply_payload(i, j, now_i, now_j).hex() == want[2].hex()
     for k in range(1, 5):
         tau = t + rng.uniform(-0.05, 0.05)
@@ -405,9 +430,9 @@ def test_hybrid_link_filter_is_the_network_filter_on_its_endpoints():
     np.testing.assert_array_equal(link.P, whole.P)
     for (i, j) in ((1, 2), (2, 1)):
         now_i, now_j = t + rng.uniform(0, 0.05), t + rng.uniform(0, 0.05)
-        for read in ("directed_skew", "symmetric_skew"):
-            want = getattr(net, read)(i, j, now_i, now_j, now_j)
-            assert getattr(hyb, read)(i, j, now_i, now_j, now_j).hex() == want.hex()
+        want = net.relative_skew(i, j, now_i, now_j)
+        got = hyb.relative_skew(i, j, now_i, now_j)
+        assert [a.hex() for a in got] == [a.hex() for a in want]
 
 
 def test_link_values_relax_like_jacobi_step():
@@ -432,7 +457,7 @@ def test_machine_rejects_unknown_link():
                   delay=DELAY, protocol="Hybrid")
     m = ProtocolMachine(sc)
     with pytest.raises(ValueError, match="no edge between 0 and 2"):
-        m.directed_skew(0, 2, 0.0, 0.0, 0.0)
+        m.relative_skew(0, 2, 0.0, 0.0)
 
 
 # ----------------------------------------------------------------- end-to-end
