@@ -17,6 +17,8 @@ state by its own elapsed time, as a distributed node's rows age on its
 own clock; :func:`net_predict` advances every row by the same time.
 A state holds no clock of its own: callers keep the stamps that the
 elapsed times are taken from.
+Readouts are log-normal formulas of :func:`link_moments`, which reads
+a link's moments from its endpoints' entries without building a state.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ import numpy as np
 
 from clocklab.clocks import ClockParams, RelParams, skew_normalizer
 from clocklab.measurement import Measurement
+from clocklab.pairwise import PairwiseFilterState, relative_skew_estimate
 
 __all__ = [
     "NetworkFilterState",
     "initial_network_state",
+    "link_moments",
     "measurement_selector",
     "net_predict",
     "net_predict_rows",
@@ -103,6 +107,14 @@ def measurement_selector(link: tuple[int, int], n: int) -> np.ndarray:
     return sel
 
 
+def _row_decay(st: NetworkFilterState, k: int, dt: float):
+    """Decay factor of state row k over ``dt`` and the process noise
+    that its variance collects."""
+    decay = np.exp(-st.alpha * dt)
+    e_m = st.params[k + 1].epsilon ** 2 / (2.0 * st.alpha)
+    return decay, e_m * (1.0 - decay * decay)
+
+
 def net_predict_rows(st: NetworkFilterState,
                      elapsed: dict[int, float]) -> NetworkFilterState:
     """Advance selected state rows by their own elapsed times.
@@ -121,10 +133,7 @@ def net_predict_rows(st: NetworkFilterState,
     g = np.ones(st.n)
     noise = {}
     for k in sorted(elapsed):
-        decay = np.exp(-st.alpha * elapsed[k])
-        g[k] = decay
-        e_m = st.params[k + 1].epsilon ** 2 / (2.0 * st.alpha)
-        noise[k] = e_m * (1.0 - decay * decay)
+        g[k], noise[k] = _row_decay(st, k, elapsed[k])
     p_new = st.P.copy()
     for k in noise:
         p_new[k, :] = p_new[:, k] = st.P[k, :] * (g[k] * g)
@@ -210,45 +219,44 @@ def net_update_distributed(st: NetworkFilterState, m: Measurement) -> NetworkFil
     return replace(st, x_hat=x_new, P=p_new)
 
 
-def nodal_skew_estimate(st: NetworkFilterState, i: int, t: float) -> float:
-    """Conditional-mean estimate of node i's own skew at reference time t.
+def link_moments(st: NetworkFilterState, i: int, j: int,
+                 elapsed: dict[int, float]) -> tuple[float, float]:
+    """Mean and variance of ``x_j - x_i`` in ``net_predict_rows(st, elapsed)``.
 
-    ``a_i_hat = c_i(t) e^{x_hat_i + P_ii/2}``; the reference is 1 by
-    definition.
-    """
-    if not 0 <= i <= st.n:
-        raise ValueError(f"node {i} outside 0..{st.n}")
-    if i == 0:
-        return 1.0
-    k = i - 1
-    return float(
-        skew_normalizer(t, st.params[i]) * np.exp(st.x_hat[k] + 0.5 * st.P[k, k])
-    )
-
-
-def relative_skew_readout(
-    st: NetworkFilterState, i: int, j: int, t: float
-) -> tuple[float, float, float]:
-    """Directed relative-skew estimates for (i, j) plus the symmetrized one.
-
-    Raw conditional means use the joint statistics of ``x_j - x_i``
-    (variance ``P_ii + P_jj - 2 P_ij``); the symmetrized estimate
-    ``sqrt(a_ij_hat / a_ji_hat)`` drops the variance inflation so the
-    two directions multiply to one.
+    ``i`` and ``j`` are nodes (the reference reads as zero).  Only their
+    O(1) entries are advanced, by the same operations in the same order,
+    so the values are bit for bit those of the predicted state.
     """
     if not (0 <= i <= st.n and 0 <= j <= st.n):
         raise ValueError(f"link ({i}, {j}) references nodes outside 0..{st.n}")
-    rel = RelParams(
-        alpha=st.alpha, eps_i=st.params[i].epsilon, eps_j=st.params[j].epsilon
-    )
-    xi = 0.0 if i == 0 else float(st.x_hat[i - 1])
-    xj = 0.0 if j == 0 else float(st.x_hat[j - 1])
-    pii = 0.0 if i == 0 else float(st.P[i - 1, i - 1])
-    pjj = 0.0 if j == 0 else float(st.P[j - 1, j - 1])
-    pij = 0.0 if (i == 0 or j == 0) else float(st.P[i - 1, j - 1])
-    mean = xj - xi
-    var = pii + pjj - 2.0 * pij
-    c = rel.c_ij(t)
-    a_ij = c * np.exp(mean + 0.5 * var)
-    a_ji = (1.0 / c) * np.exp(-mean + 0.5 * var)
+    if i == j:
+        return 0.0, 0.0
+    x, p, g = {0: 0.0}, {0: 0.0}, {0: 1.0}
+    for node in {i, j} - {0}:
+        k = node - 1
+        x[node], p[node], g[node] = st.x_hat[k], st.P[k, k], 1.0
+        if k in elapsed:
+            d, noise = _row_decay(st, k, elapsed[k])
+            x[node], p[node], g[node] = d * x[node], p[node] * (d * d) + noise, d
+    pij = 0.0 if 0 in (i, j) else st.P[i - 1, j - 1] * (g[i] * g[j])
+    return float(x[j] - x[i]), float(p[i] + p[j] - 2.0 * pij)
+
+
+def nodal_skew_estimate(p: ClockParams, mean: float, var: float, t: float) -> float:
+    """Conditional-mean estimate ``c(t) e^{mean + var/2}`` of a node's own
+    skew at reference time t, from the moments of its log-skew state."""
+    return float(skew_normalizer(t, p) * np.exp(mean + 0.5 * var))
+
+
+def relative_skew_readout(
+    rel: RelParams, mean: float, var: float, t: float
+) -> tuple[float, float, float]:
+    """Directed relative-skew estimates for a link (i, j) plus the symmetrized one.
+
+    The raw conditional means are the pairwise filter's for the moments
+    of ``x_j - x_i``, with ``rel`` the link's parameters; the
+    symmetrized estimate ``sqrt(a_ij_hat / a_ji_hat)`` drops the
+    variance inflation so the two directions multiply to one.
+    """
+    a_ij, a_ji = relative_skew_estimate(PairwiseFilterState(x_hat=mean, P=var, rel=rel), t)
     return float(a_ij), float(a_ji), float(np.sqrt(a_ij / a_ji))

@@ -15,7 +15,10 @@ a matching), and drives one of three estimation protocols:
 * ``MBCSP`` — one distributed filter of the same type over every node.
 
 All estimator state advances on *local* time-stamp differences only —
-no protocol code ever reads reference time.  Live runs and trace replay
+no protocol code ever reads reference time.  A filter readout is the
+two moments of one link (:func:`clocklab.network.link_moments`) put
+through a formula of :mod:`clocklab.network`; no code here reads the
+entries of a filter state.  Live runs and trace replay
 share one packet dispatcher, :meth:`ProtocolMachine.deliver`: the engine
 appends each arrival to the trace and delivers that row, replay delivers
 the recorded rows, so feeding the stamps back reproduces every estimate
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from clocklab.clocks import ClockParams, clock_chunks, skew_normalizer
+from clocklab.clocks import ClockParams, RelParams, clock_chunks
 from clocklab.measurement import (
     DelayModel,
     Measurement,
@@ -42,8 +45,8 @@ from clocklab.measurement import (
     skew_measurement,
 )
 from clocklab.network import (
-    NetworkFilterState,
     initial_network_state,
+    link_moments,
     net_predict_rows,
     net_update_distributed,
     nodal_skew_estimate,
@@ -419,7 +422,8 @@ class _Filter:
 
     ``loc`` maps node ids to the filter's numbering (0: reference) and
     ``last`` holds each node's last update stamp, from which its rows
-    advance by its own local time when it next takes part.
+    advance by its own local time when it next takes part.  Reads and
+    updates take ``now``, the nodes to advance and their local stamps.
     """
 
     def __init__(self, params, nodes) -> None:
@@ -428,32 +432,20 @@ class _Filter:
         self.loc = {0: 0, **{m: r for r, m in enumerate(nodes, 1)}}
         self.last = dict.fromkeys(nodes, 0.0)
 
-    def _advanced(self, st: NetworkFilterState, loc, now: dict[int, float]):
-        """``st``, numbered by ``loc``, with the nodes in ``now`` advanced."""
-        return net_predict_rows(st, {
-            loc[m] - 1: max(0.0, stamp - self.last[m]) for m, stamp in now.items() if loc[m] > 0
-        })
+    def _elapsed(self, now: dict[int, float]) -> dict[int, float]:
+        return {self.loc[m] - 1: max(0.0, stamp - self.last[m])
+                for m, stamp in now.items() if m != 0}
 
-    def read(self, i: int, j: int, now: dict[int, float]):
-        """A state holding nodes i and j, the nodes in ``now`` advanced
-        to those local stamps, and its ``loc``.  A filter holding more
-        nodes is restricted to the pair first: staleness acts entry by
-        entry, so that gives the same values at O(1) cost.
-        """
-        st, loc = self.state, self.loc
-        nodes = [m for m in (i, j) if m != 0]
-        if len(nodes) < st.n:
-            ks = [loc[m] - 1 for m in nodes]
-            st = replace(st, x_hat=st.x_hat[ks], P=st.P[ks][:, ks],
-                         params=(st.params[0], *(st.params[loc[m]] for m in nodes)))
-            loc = {0: 0, **{m: r for r, m in enumerate(nodes, 1)}}
-        return self._advanced(st, loc, now), loc
+    def moments(self, i: int, j: int, now: dict[int, float]) -> tuple[float, float]:
+        """Mean and variance of ``x_j - x_i``, the nodes in ``now``
+        advanced (:func:`clocklab.network.link_moments`)."""
+        return link_moments(self.state, self.loc[i], self.loc[j], self._elapsed(now))
 
     def update(self, m: Measurement, now: dict[int, float]) -> None:
         """Advance the link's endpoints to their stamps in ``now``, then
         take the distributed update on ``m``."""
         (i, j), loc = m.link, self.loc
-        st = self._advanced(self.state, loc, now)
+        st = net_predict_rows(self.state, self._elapsed(now))
         self.state = net_update_distributed(st, replace(m, link=(loc[i], loc[j])))
         for node, stamp in now.items():
             if node != 0:
@@ -577,23 +569,29 @@ class ProtocolMachine:
             if held is None and (j, i) in self.ratios:
                 held = 1.0 / self.ratios[(j, i)]
             return (1.0, None) if held is None else (held, held)
-        fs, loc = self._filter(i, j).read(i, j, {i: now_i, j: now_j})
-        a_ij, _, a_sym = relative_skew_readout(fs, loc[i], loc[j], now_j)
+        mean, var = self._filter(i, j).moments(i, j, {i: now_i, j: now_j})
+        rel = RelParams(self.sc.alpha, self.params[i].epsilon, self.params[j].epsilon)
+        a_ij, _, a_sym = relative_skew_readout(rel, mean, var, now_j)
         return a_ij, a_sym
 
     def skew_complete(self, snd: int, rcv: int, s0: float, r0: float,
                       s1: float, r1: float) -> None:
-        """Both packets of a skew pair arrived: predict, measure, update."""
+        """Both packets of a skew pair arrived: predict, measure, update.
+
+        A pair with equal send stamps (the sender's display did not move
+        by one stamp unit between them) is neither predicted nor
+        measured; one with equal receive stamps is not measured.
+        """
         if r1 - r0 <= 0:
             self.out_of_order += 1
         key = (snd, rcv)
-        if key in self.completed:
+        if key in self.completed and s1 != s0:
             a_hat = self.relative_skew(snd, rcv, s0, r0)[0]
             r_hat = predict_receipt(s0, r0, s1, a_hat)
             self.pred_pairs.setdefault(rcv, []).append((r_hat, r1))
         self.completed.add(key)
-        if r1 == r0:
-            return  # same-slot receipts: no receive interval to measure
+        if r1 == r0 or s1 == s0:
+            return  # no send or receive interval to measure
 
         rec = StampRecord(link=key, s=(s0, s1), r=(r0, r1), kind="skew-pair")
         if self.protocol == "SS":
@@ -614,10 +612,7 @@ class ProtocolMachine:
             return
         # Hybrid: spatial smoothing of the link estimates into nodal log-skews
         edge = self._edge_of(snd, rcv)
-        f = self.filters[edge]
-        xi, xj = (float(f.state.x_hat[f.loc[node] - 1]) if node != 0 else 0.0
-                  for node in edge)
-        self.rel_logskew.store(edge, xj - xi)
+        self.rel_logskew.store(edge, self.filters[edge].moments(*edge, {})[0])
         for node, stamp in ((snd, s1), (rcv, r1)):
             if node != 0:
                 self.rel_logskew.relax(node, self.w_skew)
@@ -667,23 +662,15 @@ class ProtocolMachine:
         if m == 0:
             return 1.0
         if self.protocol == "MBCSP":
-            fs, loc = self.network.read(0, m, {m: tau_now})
-            return nodal_skew_estimate(fs, loc[m], tau_now)
+            mean, var = self.network.moments(0, m, {m: tau_now})
+            return nodal_skew_estimate(self.params[m], mean, var, tau_now)
         if self.protocol == "Hybrid":
             d = max(0.0, tau_now - self.u_skew[m])
             decay = np.exp(-self.sc.alpha * d)
-            variances = []
-            for edge in self.sc.graph.incident(m):
-                tmp, _ = self.filters[edge].read(*edge, {m: tau_now})
-                if 0 in edge:
-                    variances.append(float(tmp.P[0, 0]))
-                else:
-                    variances.append(float(tmp.P[0, 0] + tmp.P[1, 1] - 2 * tmp.P[0, 1]))
+            variances = [self.filters[edge].moments(*edge, {m: tau_now})[1]
+                         for edge in self.sc.graph.incident(m)]
             v_m = float(np.mean(variances)) if variances else 0.0
-            return float(
-                skew_normalizer(tau_now, self.params[m])
-                * np.exp(decay * self.w_skew[m] + 0.5 * v_m)
-            )
+            return nodal_skew_estimate(self.params[m], decay * self.w_skew[m], v_m, tau_now)
         return float(np.exp(self.w_skew[m]))
 
     def offset_estimate(self, m: int, tau_now: float, a_m: float) -> float:

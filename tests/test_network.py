@@ -9,8 +9,10 @@ from clocklab.clocks import ClockParams, RelParams, skew_normalizer
 from clocklab.measurement import Measurement
 from clocklab.network import (
     initial_network_state,
+    link_moments,
     measurement_selector,
     net_predict,
+    net_predict_rows,
     net_update_distributed,
     net_update_optimal,
     nodal_skew_estimate,
@@ -277,12 +279,41 @@ def test_side_by_side_dominance_and_psd():
 # ----------------------------------------------------------------- readouts
 
 
+def readout(st, i, j, t):
+    """:func:`relative_skew_readout` of link (i, j) of ``st``, not advanced."""
+    rel = RelParams(st.alpha, st.params[i].epsilon, st.params[j].epsilon)
+    return relative_skew_readout(rel, *link_moments(st, i, j, {}), t)
+
+
+def test_link_moments_match_net_predict_rows():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(3, 3))
+    b = a @ a.T + 0.1 * np.eye(3)
+    st = initial_network_state(P4).__class__(
+        x_hat=rng.normal(size=3, scale=0.2), P=0.5 * (b + b.T), params=P4,
+    )
+    assert np.count_nonzero(st.P) == 9
+    for elapsed in ({}, {0: 0.03}, {2: 0.01}, {0: 0.03, 1: 0.05}, {0: 0.02, 1: 0.0, 2: 0.04}):
+        full = net_predict_rows(st, elapsed)
+        x = np.concatenate(([0.0], full.x_hat))
+        p = np.zeros((4, 4))
+        p[1:, 1:] = full.P
+        for i in range(4):
+            for j in range(4):
+                mean, var = link_moments(st, i, j, elapsed)
+                assert mean.hex() == float(x[j] - x[i]).hex(), (elapsed, i, j)
+                assert var.hex() == float(p[i, i] + p[j, j] - 2.0 * p[i, j]).hex(), (elapsed, i, j)
+    for link in ((0, 4), (4, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            link_moments(st, *link, {})
+
+
 def test_nodal_skew_trivial_and_reference():
     st = initial_network_state(P4)
-    assert nodal_skew_estimate(st, 1, 0.0) == pytest.approx(1.0)
-    assert nodal_skew_estimate(st, 0, 123.4) == 1.0
+    assert nodal_skew_estimate(P4[1], *link_moments(st, 0, 1, {}), 0.0) == pytest.approx(1.0)
+    assert nodal_skew_estimate(REF, *link_moments(st, 0, 0, {}), 123.4) == 1.0
     with pytest.raises(ValueError, match="outside"):
-        nodal_skew_estimate(st, 7, 0.0)
+        link_moments(st, 0, 7, {})
 
 
 def test_nodal_skew_closed_form():
@@ -291,12 +322,13 @@ def test_nodal_skew_closed_form():
         x_hat=np.array([0.05, 0.0, 0.0]), P=st.P, params=P4
     )
     want = skew_normalizer(0.3, P4[1]) * math.exp(0.05 + 0.005)
-    assert nodal_skew_estimate(st, 1, 0.3) == pytest.approx(want, rel=1e-14)
+    assert nodal_skew_estimate(P4[1], *link_moments(st, 0, 1, {}), 0.3) == pytest.approx(
+        want, rel=1e-14)
 
 
 def test_relative_readout_degenerate_self_link():
     st = diag_state([0.1, 0.2, 0.3])
-    assert relative_skew_readout(st, 2, 2, 1.0) == pytest.approx((1.0, 1.0, 1.0))
+    assert readout(st, 2, 2, 1.0) == pytest.approx((1.0, 1.0, 1.0))
 
 
 def test_relative_readout_matches_pairwise_on_two_nodes():
@@ -307,7 +339,7 @@ def test_relative_readout_matches_pairwise_on_two_nodes():
     )
     pair = PairwiseFilterState(x_hat=0.1, P=0.02, rel=rel)
     for t in (0.0, 0.05, 2.0):
-        a_ij, a_ji, sym = relative_skew_readout(net, 0, 1, t)
+        a_ij, a_ji, sym = readout(net, 0, 1, t)
         pa_ij, pa_ji = relative_skew_estimate(pair, t)
         assert a_ij == pytest.approx(pa_ij, rel=1e-14)
         assert a_ji == pytest.approx(pa_ji, rel=1e-14)
@@ -322,8 +354,8 @@ def test_relative_readout_identities():
         params=P4,
     )
     for (i, j) in [(1, 2), (0, 3), (2, 3), (3, 1)]:
-        a_ij, a_ji, sym_ij = relative_skew_readout(st, i, j, 0.7)
-        _, _, sym_ji = relative_skew_readout(st, j, i, 0.7)
+        a_ij, a_ji, sym_ij = readout(st, i, j, 0.7)
+        _, _, sym_ji = readout(st, j, i, 0.7)
         pii = 0.0 if i == 0 else st.P[i - 1, i - 1]
         pjj = st.P[j - 1, j - 1]
         pij = 0.0 if i == 0 else st.P[i - 1, j - 1]

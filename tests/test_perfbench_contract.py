@@ -40,12 +40,9 @@ def test_traced_names_resolve_on_the_program():
 
 # The traced simulator names each protocol's machine calls, beyond the
 # MACHINE_METHODS and the offset and prediction steps every protocol takes.
-_FILTER_CALLS = {"skew_measurement", "relative_skew_readout", "net_update_distributed"}
-_PROTOCOL_CALLS = {
-    "SS": set(),
-    "Hybrid": _FILTER_CALLS,
-    "MBCSP": _FILTER_CALLS | {"nodal_skew_estimate"},
-}
+_FILTER_CALLS = {"skew_measurement", "relative_skew_readout", "net_update_distributed",
+                 "nodal_skew_estimate"}
+_PROTOCOL_CALLS = {"SS": set(), "Hybrid": _FILTER_CALLS, "MBCSP": _FILTER_CALLS}
 _COMMON_CALLS = {"offset_delay_estimate", "predict_receipt"}
 
 

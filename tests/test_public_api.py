@@ -182,3 +182,14 @@ def test_every_defaulted_parameter_is_set_somewhere():
                 or (is_field and param in keywords["replace"]))
     )
     assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
+def test_simulator_reads_no_filter_state_layout():
+    """The layout of a filter state stays behind ``clocklab.network``:
+    the simulator reads link moments, never ``x_hat`` or ``P``."""
+    path = ROOT / "src" / "clocklab" / "simulator.py"
+    reads = sorted(
+        f"line {node.lineno}: .{node.attr}" for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("x_hat", "P")
+    )
+    assert not reads, f"simulator.py reads filter-state entries: {reads}"

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from clocklab.clocks import simulate_clock
 from clocklab.measurement import DELAY_KINDS, DelayModel, StampRecord, offset_delay_estimate
-from clocklab.network import net_predict_rows, nodal_skew_estimate, relative_skew_readout
+from clocklab.clocks import RelParams
+from clocklab.network import (
+    link_moments,
+    net_predict_rows,
+    nodal_skew_estimate,
+    relative_skew_readout,
+)
 from clocklab.simulator import (
     PROTOCOLS,
     TRACE_HEADER,
@@ -363,6 +369,18 @@ def test_same_slot_receipts_skip_the_measurement(proto):
     assert m.nodal_skew(1, 1.5) == ProtocolMachine(m.sc).nodal_skew(1, 1.5)
 
 
+@pytest.mark.parametrize("proto", PROTOCOLS)
+def test_equal_send_stamps_skip_the_pair(proto):
+    m = ProtocolMachine(two_node(protocol=proto))
+    fresh = ProtocolMachine(m.sc)
+    m.skew_complete(0, 1, 1.0, 1.2, 1.0, 1.3)  # SS would divide by zero
+    assert m.completed == {(0, 1)}
+    m.skew_complete(0, 1, 1.0, 1.4, 1.0, 1.5)  # a completed link predicts no receipt
+    assert m.pred_pairs == {} and m.out_of_order == 0
+    assert m.nodal_skew(1, 1.6) == fresh.nodal_skew(1, 1.6)
+    assert m.relative_skew(0, 1, 1.6, 1.6) == fresh.relative_skew(0, 1, 1.6, 1.6)
+
+
 def dense_staleness_predict(st, elapsed):
     """``P * outer(g, g) + diag(noise)`` over the whole network filter."""
     g, noise = np.ones(st.n), np.zeros(st.n)
@@ -393,14 +411,16 @@ def test_mbcsp_readouts_match_the_dense_network_filter():
 
     for (i, j) in ring.edges + ((3, 1), (0, 2)):
         now_i, now_j = t + rng.uniform(-0.05, 0.05), t + rng.uniform(-0.05, 0.05)
-        want = relative_skew_readout(dense({i: now_i, j: now_j}), i, j, now_j)
+        rel = RelParams(sc.alpha, sc.epsilons[i], sc.epsilons[j])
+        moments = link_moments(dense({i: now_i, j: now_j}), i, j, {})
+        want = relative_skew_readout(rel, *moments, now_j)
         a_ij, a_sym = m.relative_skew(i, j, now_i, now_j)
         assert a_ij.hex() == want[0].hex()
         assert a_sym.hex() == want[2].hex()
         assert m.reply_payload(i, j, now_i, now_j).hex() == want[2].hex()
     for k in range(1, 5):
         tau = t + rng.uniform(-0.05, 0.05)
-        want = nodal_skew_estimate(dense({k: tau}), k, tau)
+        want = nodal_skew_estimate(sc.params[k], *link_moments(dense({k: tau}), 0, k, {}), tau)
         assert m.nodal_skew(k, tau).hex() == want.hex()
     elapsed = {0: 0.03, 2: 0.01}
     fast, slow = net_predict_rows(net, elapsed), dense_staleness_predict(net, elapsed)
@@ -596,6 +616,23 @@ def test_same_slot_receipts_do_not_stop_a_run(tmp_path, skew_gap, seed, proto):
     live, trace = run_scenario(sc)
     assert live.out_of_order >= 1
     assert_replay_exact(live, trace, sc, tmp_path / "trace.csv")
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS)
+def test_equal_send_stamps_do_not_stop_a_run(tmp_path, proto):
+    # Skew stays near e^-27 at two deviations of log-skew (6 / sqrt(0.2)):
+    # the sender's display then does not move by one stamp unit between
+    # the two packets of a pair.
+    base = replace(read_scenario(SCENARIOS / "two-node.scenario"), alpha=0.1,
+                   epsilons=(0.0, 6.0), horizon=2.0, protocol=proto)
+    equal = 0
+    for seed in range(6):
+        sc = replace(base, seed=seed)
+        live, trace = run_scenario(sc)
+        assert_replay_exact(live, trace, sc, tmp_path / "trace.csv")
+        first = {row.seq: row.s_stamp for row in trace if row.kind == "skew-a"}
+        equal += sum(first.get(row.seq) == row.s_stamp for row in trace if row.kind == "skew-b")
+    assert equal > 0
 
 
 @st.composite
