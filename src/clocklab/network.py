@@ -111,8 +111,7 @@ def _row_decay(st: NetworkFilterState, k: int, dt: float):
     """Decay factor of state row k over ``dt`` and the process noise
     that its variance collects."""
     decay = np.exp(-st.alpha * dt)
-    e_m = st.params[k + 1].epsilon ** 2 / (2.0 * st.alpha)
-    return decay, e_m * (1.0 - decay * decay)
+    return decay, st.params[k + 1].stationary_state_variance * (1.0 - decay * decay)
 
 
 def net_predict_rows(st: NetworkFilterState,
@@ -148,13 +147,18 @@ def net_predict(st: NetworkFilterState, dt: float) -> NetworkFilterState:
     Every state decays by ``e^{-alpha dt}``; the covariance contracts
     the same way and picks up independent process noise on the
     diagonal: ``P <- e^{-2 alpha dt} P + (1-e^{-2 alpha dt}) diag(eps_m^2/2 alpha)``.
-    This is :func:`net_predict_rows` over every row.
+    For a symmetric ``P`` this is :func:`net_predict_rows` over every
+    row, bit for bit, with one decay factor for all rows.
     """
     if dt < 0:
         raise ValueError(f"time went backwards: dt={dt!r}")
     if dt == 0:
         return st
-    return net_predict_rows(st, dict.fromkeys(range(st.n), dt))
+    decay = np.exp(-st.alpha * dt)
+    e_m = np.array([p.stationary_state_variance for p in st.params[1:]])
+    p_new = st.P * (decay * decay)
+    p_new.flat[::st.n + 1] += e_m * (1.0 - decay * decay)
+    return replace(st, x_hat=decay * st.x_hat, P=p_new)
 
 
 def _innovation_stats(st: NetworkFilterState, m: Measurement):

@@ -696,7 +696,8 @@ class _Send:
     payload: tuple = ()
 
 
-# Slots of ground truth per node that the engine holds at once.
+# Slots of ground truth per node in one engine chunk.  The loop keeps no
+# chunk's states, so at most three chunk arrays are alive at any time.
 _CHUNK_STEPS = 4096
 
 
@@ -806,7 +807,7 @@ def run_scenario(sc: Scenario):
         if slot > n_slots:
             break
         while slot >= stop:
-            _, skews, displays = next(clocks)
+            skews, displays = next(clocks)[1:]  # the states are never read
             start, stop = stop, stop + displays.shape[1]
         arrivals, sends, starts = [], [], []
         while heap and heap[0][0] == slot:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from clocklab.clocks import ClockParams, clock_chunks
@@ -48,3 +50,13 @@ def var_se(samples) -> float:
     """Approximate standard error of the sample variance (normal theory)."""
     samples = np.asarray(samples)
     return float(samples.var(ddof=1) * np.sqrt(2.0 / (len(samples) - 1)))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import batch_paths, sem, var_se
+from conftest import batch_paths, sem, traced_peak, var_se
 from clocklab import clocks
 from clocklab.clocks import (
     AllanPoint,
     ClockParams,
     allan_variance_analytic,
     allan_variance_empirical,
+    clock_chunks,
     display_variance_bounds,
     fit_params_from_allan,
     ou_step_euler,
@@ -207,6 +208,36 @@ def test_sample_displays_chunking_invariance():
         np.testing.assert_array_equal(a, b)
 
 
+def test_clock_chunks_mixed_batch_chunking_invariance():
+    # Kinds interleaved across rows; each row draws from its own stream,
+    # so every chunking sees the same normals.
+    params = [ClockParams(10.0, e) for e in (0.0, 1.0, 0.5, 1.0, 0.5)]
+    n_steps = 9000
+
+    def whole(chunk_steps):
+        rngs = [np.random.default_rng(s) for s in range(len(params))]
+
+        def normals(k):
+            return np.stack([rng.standard_normal(k) for rng in rngs])
+
+        chunks = [[a.copy() for a in chunk]  # the next chunk overwrites this one
+                  for chunk in clock_chunks(params, 1e-3, n_steps, normals, chunk_steps)]
+        return [np.concatenate(arrays, axis=1) for arrays in zip(*chunks)]
+
+    want = whole(n_steps + 1)
+    assert want[0].shape == (5, n_steps + 1)
+    for chunk_steps in (1, 7, 4096):
+        for got, ref in zip(whole(chunk_steps), want):
+            assert got.tobytes() == ref.tobytes(), chunk_steps
+
+
+def test_sample_displays_memory_stays_at_a_few_chunks():
+    # 10 000 one-second windows at dt = 1e-3 are 10 M grid points.
+    peak = traced_peak(lambda: sample_displays(ClockParams(10.0, 1.0), spacing=1.0,
+                                               count=10_000, dt=1e-3, seed=0))
+    assert peak < 8 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Moments
 # ---------------------------------------------------------------------------
@@ -221,6 +252,9 @@ def test_skew_normalizer_settled_limit_is_bit_identical():
             p = ClockParams(alpha, epsilon)
             full = np.exp(-0.25 * epsilon**2 / alpha * (1.0 - np.exp(-2.0 * alpha * t)))
             assert np.array_equal(skew_normalizer(t, p), full), (alpha, epsilon)
+            # no time settled: the formula alone, on every slot
+            moving = t[t < settle]
+            assert np.array_equal(skew_normalizer(moving, p), full[t < settle])
 
 
 def test_ou_variance_closed_form():

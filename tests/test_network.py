@@ -98,6 +98,20 @@ def test_net_predict_semigroup():
     np.testing.assert_allclose(two.P, one.P, rtol=1e-12, atol=1e-16)
 
 
+def test_net_predict_is_net_predict_rows_over_every_row():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 9, 50):
+        params = (REF,) + tuple(ClockParams(10.0, e) for e in rng.uniform(0.0, 2.0, n))
+        a = rng.normal(size=(n, n))
+        st = initial_network_state(params).__class__(
+            x_hat=rng.normal(size=n), P=a @ a.T, params=params)
+        for dt in (1e-4, 0.013, 0.7, 5.0):
+            want = net_predict_rows(st, dict.fromkeys(range(n), dt))
+            got = net_predict(st, dt)
+            for w, g in ((want.x_hat, got.x_hat), (want.P, got.P)):
+                assert list(map(float.hex, g.ravel())) == list(map(float.hex, w.ravel())), (n, dt)
+
+
 def test_net_predict_rejects_negative_dt():
     with pytest.raises(ValueError, match="time went backwards"):
         net_predict(initial_network_state(P4), -0.1)

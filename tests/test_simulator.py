@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from clocklab.clocks import simulate_clock
 from clocklab.measurement import DELAY_KINDS, DelayModel, StampRecord, offset_delay_estimate
 from clocklab.clocks import RelParams
@@ -535,13 +535,18 @@ def test_streamed_clocks_are_the_simulate_clock_paths(proto):
 def test_run_memory_does_not_grow_with_the_horizon():
     sc = replace(read_scenario(SCENARIOS / "two-node.scenario"),
                  horizon=12.0, protocol="SS")
-    tracemalloc.start()
-    try:
-        run_scenario(sc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert traced_peak(lambda: run_scenario(sc)) < 16 * 2**20
+
+
+def test_run_holds_at_most_three_chunk_arrays():
+    # 100 clocks over 20 000 slots: the engine asks for five chunks, and
+    # the three arrays of one (m, _CHUNK_STEPS + 1) chunk set the peak.
+    base = read_scenario(SCENARIOS / "ten-node-line.scenario")
+    n = 99
+    sc = replace(base, graph=SyncGraph(n=n, edges=[(i, i + 1) for i in range(n)]),
+                 epsilons=(0.0,) + (1.0,) * n, horizon=0.2, protocol="SS")
+    chunk_array = (n + 1) * (_CHUNK_STEPS + 1) * 8
+    assert traced_peak(lambda: run_scenario(sc)) < 3.5 * chunk_array
 
 
 def test_trace_rows_are_well_formed():
