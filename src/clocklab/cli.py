@@ -109,22 +109,20 @@ def _parse_floats(text: str, what: str) -> list[float]:
 # ------------------------------------------------------------------ simulate
 
 
-def _resolve_seeds(args, file_seed: int) -> list[int]:
-    if args.seeds is not None:
-        try:
-            return [int(p) for p in args.seeds.replace(",", " ").split()]
-        except ValueError:
-            raise ValueError(f"bad seed list {args.seeds!r}") from None
-    if args.seed is None:
+def _resolve_seeds(spec: str | None, file_seed: int) -> list[int]:
+    if spec is None:
         return [file_seed]
-    if args.seed == "auto":
+    if spec == "auto":
         seed = int(np.random.SeedSequence().entropy % (2**32))
         print(f"auto seed: {seed}", file=sys.stderr)
         return [seed]
     try:
-        return [int(args.seed)]
+        seeds = [int(p) for p in spec.replace(",", " ").split()]
     except ValueError:
-        raise ValueError(f"bad seed {args.seed!r} (integer or 'auto')") from None
+        seeds = []
+    if not seeds:
+        raise ValueError(f"bad seed {spec!r} (integer, comma-separated integers or 'auto')")
+    return seeds
 
 
 def _simulate_one(task):
@@ -151,7 +149,7 @@ def _cmd_simulate(args) -> int:
     tasks = []
     for path in args.scenario:
         file_seed = read_scenario(path).seed  # also validates the file early
-        for seed in _resolve_seeds(args, file_seed):
+        for seed in _resolve_seeds(args.seed, file_seed):
             tasks.append((path, seed, args.protocol, args.horizon, str(outdir)))
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -315,7 +313,7 @@ def _cmd_degrade(args) -> int:
             t_k = k * args.period
             link = edges[(k - 1) % len(edges)]
             y = float(rng.normal(scale=0.3))
-            m = Measurement(link=link, t_k=t_k, y=y, sigma2=sigma2)
+            m = Measurement(link=link, y=y, sigma2=sigma2)
             opt = net_update_optimal(net_predict(opt, args.period), m)
             dist = net_update_distributed(net_predict(dist, args.period), m)
             tr_o, tr_d = float(np.trace(opt.P)), float(np.trace(dist.P))
@@ -343,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run scenario files, write metrics + trace CSVs")
     p.add_argument("scenario", nargs="+", help="scenario file(s)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", help="override the scenario seed (integer or 'auto')")
-    p.add_argument("--seeds", help="comma-separated seed list (runs each)")
+    p.add_argument("--seed", help="override the scenario seed: an integer, a "
+                   "comma-separated list (runs each) or 'auto'")
     p.add_argument("--protocol", choices=PROTOCOLS, help="override the protocol")
     p.add_argument("--horizon", type=float, help="override the horizon")
     p.add_argument("--jobs", type=int, default=1,

@@ -114,10 +114,11 @@ def draw_delay(m: DelayModel, rng: np.random.Generator, size: int | None = None)
 class StampRecord:
     """The four time-stamps of one two-packet exchange on a link (i, j).
 
-    For a ``skew-pair``, node i sends both packets: ``s`` holds the two
-    send stamps (i's clock) and ``r`` the two receive stamps (j's
-    clock).  For an ``offset-roundtrip``, the first pair is the forward
-    leg i->j (sent at ``s[0]`` by i, received at ``r[0]`` by j) and the
+    In a skew pair (:func:`skew_measurement`), node i sends both
+    packets: ``s`` holds the two send stamps (i's clock) and ``r`` the
+    two receive stamps (j's clock).  In a roundtrip
+    (:func:`offset_delay_estimate`), the first pair is the forward leg
+    i->j (sent at ``s[0]`` by i, received at ``r[0]`` by j) and the
     second the reverse leg j->i (sent at ``s[1]`` by j, received at
     ``r[1]`` by i).
     """
@@ -125,21 +126,18 @@ class StampRecord:
     link: tuple[int, int]
     s: tuple[float, float]
     r: tuple[float, float]
-    kind: str = "skew-pair"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("skew-pair", "offset-roundtrip"):
-            raise ValueError(f"unknown stamp record kind {self.kind!r}")
         if len(self.s) != 2 or len(self.r) != 2:
             raise ValueError("a stamp record holds exactly two (send, receive) pairs")
 
 
 @dataclass(frozen=True)
 class Measurement:
-    """One link observation: value y at epoch t_k with noise variance sigma2."""
+    """One observation of the relative log-skew ``x_j - x_i`` of a link
+    (i, j): value y with noise variance sigma2."""
 
     link: tuple[int, int]
-    t_k: float
     y: float
     sigma2: float
 
@@ -150,24 +148,22 @@ class Measurement:
             raise ValueError(f"noise variance must be positive, got {self.sigma2!r}")
 
 
-def noise_variance(delta_s: float, m: DelayModel | None, floor: float = 1e-6) -> float:
+def noise_variance(delta_s: float, m: DelayModel, floor: float) -> float:
     """Modeled variance of the measurement noise for send separation ``delta_s``.
 
-    ``floor + 2 Var(d) / delta_s^2``: the dominant noise term is the
-    difference of the two packet delays divided by the separation, so
-    widening the separation quiets the measurement quadratically, down
-    to a floor that accounts for stamping granularity and the ignored
-    higher-order terms.
+    ``floor + 2 Var(d) / delta_s^2``, ``Var(d)`` that of one draw of
+    ``m``: the dominant noise term is the difference of the two packet
+    delays divided by the separation, so widening the separation quiets
+    the measurement quadratically, down to a floor that accounts for
+    stamping granularity and the ignored higher-order terms.
     """
     if not delta_s > 0:
         raise ValueError(f"send separation must be positive, got {delta_s!r}")
-    var_d = 0.0 if m is None else m.variance
-    return floor + 2.0 * var_d / delta_s**2
+    return floor + 2.0 * m.variance / delta_s**2
 
 
 def skew_measurement(rec: StampRecord, pi: ClockParams, pj: ClockParams, t_k: float,
-                     delay_model: DelayModel | None = None,
-                     floor: float = 1e-6) -> Measurement:
+                     delay_model: DelayModel, floor: float) -> Measurement:
     """Relative log-skew measurement from a two-packet exchange.
 
     Computes ``log |(r1 - r0) / (s1 - s0)| - log c_ij(t_k)``: the raw
@@ -181,15 +177,15 @@ def skew_measurement(rec: StampRecord, pi: ClockParams, pj: ClockParams, t_k: fl
     Parameters
     ----------
     rec : StampRecord
-        A ``skew-pair`` record for the link (i, j); node i sent.
+        A skew pair on the link (i, j); node i sent both packets.
     pi, pj : ClockParams
         Sender and receiver clock parameters.
     t_k : float
         Measurement epoch (reference time if known, otherwise the
-        receiver-clock proxy; see :func:`measurement_epoch`).
-    delay_model : DelayModel, optional
-        Used to size the noise variance; without it only the floor
-        applies.
+        receiver-clock proxy; see :func:`measurement_epoch`), at which
+        ``c_ij`` is taken; the measurement does not keep it.
+    delay_model : DelayModel
+        Sizes the noise variance (:func:`noise_variance`).
     floor : float
         Variance floor.
 
@@ -199,8 +195,6 @@ def skew_measurement(rec: StampRecord, pi: ClockParams, pj: ClockParams, t_k: fl
         ``"non-increasing send stamps"`` if s1 <= s0;
         ``"degenerate receive stamps"`` if r1 == r0.
     """
-    if rec.kind != "skew-pair":
-        raise ValueError(f"skew measurement needs a skew-pair record, got {rec.kind!r}")
     s0, s1 = rec.s
     r0, r1 = rec.r
     if s1 <= s0:
@@ -210,7 +204,7 @@ def skew_measurement(rec: StampRecord, pi: ClockParams, pj: ClockParams, t_k: fl
     rp = relative_params(pi, pj)
     y = math.log(abs((r1 - r0) / (s1 - s0))) - math.log(rp.c_ij(t_k))
     sigma2 = noise_variance(s1 - s0, delay_model, floor)
-    return Measurement(link=rec.link, t_k=t_k, y=y, sigma2=sigma2)
+    return Measurement(link=rec.link, y=y, sigma2=sigma2)
 
 
 def measurement_epoch(rec: StampRecord) -> float:
@@ -230,8 +224,8 @@ def offset_delay_estimate(rec: StampRecord, a_ij_hat: float,
     Parameters
     ----------
     rec : StampRecord
-        An ``offset-roundtrip`` record with the forward leg (s_i, r_ij)
-        and reverse leg (s_j, r_ji).
+        A roundtrip: the forward leg (s_i, r_ij) and the reverse leg
+        (s_j, r_ji).
     a_ij_hat, a_ji_hat : float
         Current relative-skew estimates for the two directions.
 
@@ -250,8 +244,6 @@ def offset_delay_estimate(rec: StampRecord, a_ij_hat: float,
     ValueError
         ``"invalid skew estimate"`` for non-positive skew estimates.
     """
-    if rec.kind != "offset-roundtrip":
-        raise ValueError(f"offset estimation needs an offset-roundtrip record, got {rec.kind!r}")
     if not (a_ij_hat > 0 and a_ji_hat > 0):
         raise ValueError(
             f"invalid skew estimate: a_ij={a_ij_hat!r}, a_ji={a_ji_hat!r}"

@@ -12,9 +12,10 @@ Node 0 is the reference and is excluded from the state: rows and
 columns that would belong to it read as zeros, and measurements against
 it reduce to the scalar pairwise update.
 
-Prediction is per row: :func:`net_predict_rows` advances each named
-state by its own elapsed time, as a distributed node's rows age on its
-own clock; :func:`net_predict` advances every row by the same time.
+Prediction is per node: :func:`net_predict_rows` advances each node
+keyed in ``elapsed`` (node ids 1..n; node m sits in row m - 1) by its
+own elapsed time, as a distributed node's rows age on its own clock;
+:func:`net_predict` advances every row by the same time.
 A state holds no clock of its own: callers keep the stamps that the
 elapsed times are taken from.
 Readouts are log-normal formulas of :func:`link_moments`, which reads
@@ -107,21 +108,27 @@ def measurement_selector(link: tuple[int, int], n: int) -> np.ndarray:
     return sel
 
 
-def _row_decay(st: NetworkFilterState, k: int, dt: float):
-    """Decay factor of state row k over ``dt`` and the process noise
+def _check_nodes(st: NetworkFilterState, elapsed: dict[int, float]) -> None:
+    for m in elapsed:
+        if not 1 <= m <= st.n:
+            raise ValueError(f"elapsed time for node {m!r}, outside 1..{st.n}")
+
+
+def _row_decay(st: NetworkFilterState, node: int, dt: float):
+    """Decay factor of a node's state over ``dt`` and the process noise
     that its variance collects."""
     decay = np.exp(-st.alpha * dt)
-    return decay, st.params[k + 1].stationary_state_variance * (1.0 - decay * decay)
+    return decay, st.params[node].stationary_state_variance * (1.0 - decay * decay)
 
 
 def net_predict_rows(st: NetworkFilterState,
                      elapsed: dict[int, float]) -> NetworkFilterState:
-    """Advance selected state rows by their own elapsed times.
+    """Advance selected nodes' states by their own elapsed times.
 
-    ``elapsed`` maps state indices (0-based) to nonnegative time
-    differences.  Each named row decays by its own factor and collects
-    its own process noise; unnamed rows are left stale, to be advanced
-    when they next participate.
+    ``elapsed`` maps node ids (1..n; another key raises ``ValueError``)
+    to nonnegative time differences.  Each named node's row decays by
+    its own factor and collects its own process noise; unnamed rows are
+    left stale, to be advanced when they next participate.
 
     With ``g`` the decay factors (1 on unnamed rows), named row k
     becomes ``P[k, :] * (g[k] * g)``, is copied onto column k, and then
@@ -129,10 +136,11 @@ def net_predict_rows(st: NetworkFilterState,
     ``P * outer(g, g) + diag(noise)`` for a symmetric ``P``, at
     O(n * len(elapsed)) arithmetic on top of copying ``P``.
     """
+    _check_nodes(st, elapsed)
     g = np.ones(st.n)
     noise = {}
-    for k in sorted(elapsed):
-        g[k], noise[k] = _row_decay(st, k, elapsed[k])
+    for m in sorted(elapsed):
+        g[m - 1], noise[m - 1] = _row_decay(st, m, elapsed[m])
     p_new = st.P.copy()
     for k in noise:
         p_new[k, :] = p_new[:, k] = st.P[k, :] * (g[k] * g)
@@ -227,20 +235,22 @@ def link_moments(st: NetworkFilterState, i: int, j: int,
                  elapsed: dict[int, float]) -> tuple[float, float]:
     """Mean and variance of ``x_j - x_i`` in ``net_predict_rows(st, elapsed)``.
 
-    ``i`` and ``j`` are nodes (the reference reads as zero).  Only their
-    O(1) entries are advanced, by the same operations in the same order,
-    so the values are bit for bit those of the predicted state.
+    ``i`` and ``j`` are nodes (the reference reads as zero), as are the
+    keys of ``elapsed``.  Only their O(1) entries are advanced, by the
+    same operations in the same order, so the values are bit for bit
+    those of the predicted state.
     """
     if not (0 <= i <= st.n and 0 <= j <= st.n):
         raise ValueError(f"link ({i}, {j}) references nodes outside 0..{st.n}")
+    _check_nodes(st, elapsed)
     if i == j:
         return 0.0, 0.0
     x, p, g = {0: 0.0}, {0: 0.0}, {0: 1.0}
     for node in {i, j} - {0}:
         k = node - 1
         x[node], p[node], g[node] = st.x_hat[k], st.P[k, k], 1.0
-        if k in elapsed:
-            d, noise = _row_decay(st, k, elapsed[k])
+        if node in elapsed:
+            d, noise = _row_decay(st, node, elapsed[node])
             x[node], p[node], g[node] = d * x[node], p[node] * (d * d) + noise, d
     pij = 0.0 if 0 in (i, j) else st.P[i - 1, j - 1] * (g[i] * g[j])
     return float(x[j] - x[i]), float(p[i] + p[j] - 2.0 * pij)

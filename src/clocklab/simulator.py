@@ -188,9 +188,11 @@ def _parse_value(key: str, raw: str):
 
 
 def read_scenario(path) -> Scenario:
-    """Parse a ``key = value`` scenario file with ``[section]`` headers."""
+    """Parse a ``key = value`` scenario file with ``[section]`` headers;
+    a key set twice raises, naming both lines."""
     values: dict[str, object] = {}
     epsilons: dict[int, float] = {}
+    set_on: dict[str | int, int] = {}  # key, or epsilon's node -> line that set it
     section = ""
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
@@ -209,13 +211,15 @@ def read_scenario(path) -> Scenario:
             is_epsilon = key.startswith("epsilon_")
             if not (is_epsilon or key in _SCENARIO_KEYS or key in _DELAY_KEYS):
                 raise ValueError(f"unknown scenario key {key!r} (line {ln})")
-            try:
-                if is_epsilon:
-                    epsilons[int(key[len("epsilon_"):])] = float(val)
-                else:
-                    values[key] = _parse_value(key, val)
+            try:  # an epsilon is set per node: epsilon_01 is epsilon_1
+                target = int(key[len("epsilon_"):]) if is_epsilon else key
+                value = float(val) if is_epsilon else _parse_value(key, val)
             except ValueError:
                 raise ValueError(f"line {ln}: bad value for {key!r}: {val!r}") from None
+            if target in set_on:
+                raise ValueError(f"line {ln}: key {key!r} already set on line {set_on[target]}")
+            set_on[target] = ln
+            (epsilons if is_epsilon else values)[target] = value
     for req in ("nodes", "edges", "alpha", "delay.kind", "delay.mean"):
         if req not in values:
             raise ValueError(f"missing required scenario key {req!r}")
@@ -299,33 +303,27 @@ class MetricsReport:
     discarded: int = 0
 
 
-def compute_metrics(ground_truth, estimates, predictions) -> MetricsReport:
-    """Assemble per-node MAEs from aligned series.
+def compute_metrics(samples, predictions) -> MetricsReport:
+    """Assemble per-node MAEs from each node's evaluation samples.
 
-    ``ground_truth``: {node: (t, tau, skew)} arrays on the evaluation
-    grid; ``estimates``: {node: (offset_est, skew_est)} on the same
-    grid; ``predictions``: {node: [(predicted, actual), ...]} receipt
-    stamps.  The no-sync columns use the zero-offset and unit-skew
-    baselines on the same grid.  Prediction errors need no ground
-    truth, so a node with empty series still gets its ``pred_mae``.
+    ``samples``: {node: rows of (t, tau, skew, offset_est, skew_est)},
+    the reference time, the node's true display and skew, and its
+    offset and skew estimates at each evaluation instant;
+    ``predictions``: {node: [(predicted, actual), ...]} receipt stamps.
+    The no-sync columns use the zero-offset and unit-skew baselines at
+    the same instants.  Prediction errors need no ground truth, so a
+    node with no samples still gets its ``pred_mae``.
     """
     offset_mae, skew_mae, pred_mae = {}, {}, {}
     off_ns, skew_ns = {}, {}
-    for node, (t, tau, skew) in ground_truth.items():
+    for node, rows in samples.items():
         pairs = predictions.get(node, [])
         if pairs:
             arr = np.asarray(pairs, dtype=float)
             pred_mae[node] = float(np.mean(np.abs(arr[:, 0] - arr[:, 1])))
         else:
             pred_mae[node] = float("nan")
-        t = np.asarray(t, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        skew = np.asarray(skew, dtype=float)
-        est_off, est_skew = estimates[node]
-        est_off = np.asarray(est_off, dtype=float)
-        est_skew = np.asarray(est_skew, dtype=float)
-        if not (len(t) == len(tau) == len(skew) == len(est_off) == len(est_skew)):
-            raise ValueError(f"length mismatch in series for node {node}")
+        t, tau, skew, est_off, est_skew = np.array(rows, dtype=float).reshape(-1, 5).T
         if len(t) == 0:
             nan = float("nan")
             offset_mae[node] = skew_mae[node] = nan
@@ -422,8 +420,10 @@ class _Filter:
 
     ``loc`` maps node ids to the filter's numbering (0: reference) and
     ``last`` holds each node's last update stamp, from which its rows
-    advance by its own local time when it next takes part.  Reads and
-    updates take ``now``, the nodes to advance and their local stamps.
+    advance by its own local time when it next takes part: the elapsed
+    times go to :mod:`clocklab.network` keyed by the filter's numbering.
+    Reads and updates take ``now``, the nodes to advance and their
+    local stamps.
     """
 
     def __init__(self, params, nodes) -> None:
@@ -433,7 +433,7 @@ class _Filter:
         self.last = dict.fromkeys(nodes, 0.0)
 
     def _elapsed(self, now: dict[int, float]) -> dict[int, float]:
-        return {self.loc[m] - 1: max(0.0, stamp - self.last[m])
+        return {self.loc[m]: max(0.0, stamp - self.last[m])
                 for m, stamp in now.items() if m != 0}
 
     def moments(self, i: int, j: int, now: dict[int, float]) -> tuple[float, float]:
@@ -593,7 +593,7 @@ class ProtocolMachine:
         if r1 == r0 or s1 == s0:
             return  # no send or receive interval to measure
 
-        rec = StampRecord(link=key, s=(s0, s1), r=(r0, r1), kind="skew-pair")
+        rec = StampRecord(link=key, s=(s0, s1), r=(r0, r1))
         if self.protocol == "SS":
             ratio = abs((r1 - r0) / (s1 - s0))
             prev = self.ratios.get(key)
@@ -640,8 +640,7 @@ class ProtocolMachine:
         if a_ij is None:
             return None
         a_ji = own if own is not None else 1.0 / a_ij
-        rec = StampRecord(link=(i, j), s=(s_i, s_j), r=(r_ij, r_ji),
-                          kind="offset-roundtrip")
+        rec = StampRecord(link=(i, j), s=(s_i, s_j), r=(r_ij, r_ji))
         tau_ij, _, _ = offset_delay_estimate(rec, a_ij, a_ji)
         self.rel_off.store((i, j), tau_ij)
         self.rel_off.relax(i, self.v_off)
@@ -669,7 +668,7 @@ class ProtocolMachine:
             decay = np.exp(-self.sc.alpha * d)
             variances = [self.filters[edge].moments(*edge, {m: tau_now})[1]
                          for edge in self.sc.graph.incident(m)]
-            v_m = float(np.mean(variances)) if variances else 0.0
+            v_m = sum(variances) / len(variances) if variances else 0.0
             return nodal_skew_estimate(self.params[m], decay * self.w_skew[m], v_m, tau_now)
         return float(np.exp(self.w_skew[m]))
 
@@ -845,12 +844,7 @@ def run_scenario(sc: Scenario):
                 if arrive_slot <= n_slots:
                     push(arrive_slot, "arrive", s)
 
-    ground_truth, estimates = {}, {}
-    for m, rows in samples.items():
-        arr = np.array(rows, dtype=float).reshape(-1, 5)
-        ground_truth[m] = (arr[:, 0], arr[:, 1], arr[:, 2])
-        estimates[m] = (arr[:, 3], arr[:, 4])
-    report = compute_metrics(ground_truth, estimates, machine.pred_pairs)
+    report = compute_metrics(samples, machine.pred_pairs)
     report = replace(report, collisions=collisions,
                      out_of_order=machine.out_of_order,
                      discarded=timeouts + machine.orphans)
@@ -874,6 +868,5 @@ def trace_replay(rows, sc: Scenario) -> MetricsReport:
     for row in rows:
         machine.deliver(row)
     nodes = range(1, sc.graph.n + 1)
-    report = compute_metrics({m: ((), (), ()) for m in nodes},
-                             {m: ((), ()) for m in nodes}, machine.pred_pairs)
+    report = compute_metrics({m: () for m in nodes}, machine.pred_pairs)
     return replace(report, out_of_order=machine.out_of_order)

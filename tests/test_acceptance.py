@@ -154,7 +154,7 @@ def test_criterion_05_pairwise_filter_bounds_and_coverage():
     ceiling = REL11.eps_ij**2 / (2 * REL11.alpha)
 
     def meas(y, s2):
-        return Measurement(link=(0, 1), t_k=0.0, y=y, sigma2=s2)
+        return Measurement(link=(0, 1), y=y, sigma2=s2)
 
     # (a) mirrored measurement streams give mirrored estimates
     rng = np.random.default_rng(42)
@@ -206,7 +206,7 @@ def test_criterion_06_network_filter_reduction_and_dominance():
     rng = np.random.default_rng(9)
     for _ in range(300):
         dt, y, s2 = rng.uniform(0, 0.05), rng.normal(scale=0.4), rng.uniform(1e-4, 0.1)
-        m = Measurement(link=(0, 1), t_k=0.0, y=y, sigma2=s2)
+        m = Measurement(link=(0, 1), y=y, sigma2=s2)
         opt = net_update_optimal(net_predict(opt, dt), m)
         dist = net_update_distributed(net_predict(dist, dt), m)
         pw = update(predict(pw, dt), m)
@@ -222,8 +222,7 @@ def test_criterion_06_network_filter_reduction_and_dominance():
     rng = np.random.default_rng(7)
     for k in range(2000):
         link = sc.graph.edges[k % len(sc.graph.edges)]
-        m = Measurement(link=link, t_k=(k + 1) * 0.002,
-                        y=float(rng.normal(scale=0.3)), sigma2=sigma2)
+        m = Measurement(link=link, y=float(rng.normal(scale=0.3)), sigma2=sigma2)
         opt = net_predict(opt, 0.002)
         dist = net_predict(dist, 0.002)
         diag_before = np.diag(dist.P).copy()

@@ -135,6 +135,45 @@ def test_simulate_ten_node_line_golden_digests(tmp_path, protocol):
         assert digest["metrics"] == metrics_sha
 
 
+# SHA-256 of `clocklab simulate --horizon 4` on the other shipped
+# scenarios: the SS trace and metrics, and the Hybrid trace, which is
+# MBCSP's too.  Filter metrics stay unpinned, as above.
+GOLDEN_HORIZON_4 = {
+    ("five-node-ring", 0): (
+        "b6db2447b5b5b5233df9484f3accaf3b4737d8ac2a6f6c81713780972d11075f",
+        "01ccb477718e1469667edf877f51dff9820487956470b68a4f209fce5c36e1f1",
+        "097d2c3bf9cf01ceb7d48df7cf67699b29a1c25381eed53848ef6b8d2e7745f3"),
+    ("five-node-ring", 1): (
+        "36aac5160afbd24e18b324dea9e1249c0c0bf60cbb47ddc705871b43a6c43d42",
+        "664530bd8a4f7becfdfb09021ac658f867cf3176db3850cbf39862479a24e57a",
+        "1c1f88354929ca9532a08bb3e5e12827334cf277b20998fa27886f50eb68443d"),
+    ("two-node", 0): (
+        "ef8150b51bad241d7bfe4b67ed40b704170e355cb7fe0fae3b07c4a616127c56",
+        "3793f540205f9d1c3f2a152b3ed0a0bd49b09e4d712d74eda4914cc793532819",
+        "740794c1ff70c6cd57c3027bd48f5178521cd50a7a365603b7c3a0ab33b4eb56"),
+    ("two-node", 1): (
+        "14580d808c2493df413c777dd0adf80e5ec1c9e418c956a77ef63cc39e3a5184",
+        "81ac1f80f6edd947470107ab2485f570dd3d5d1916f76251b61c5e2fdf2e0a52",
+        "e8af6354b6012f880a0376b7bd5d46bab5afdd82cf107980f2e082ac3791dd0a"),
+}
+
+
+@pytest.mark.parametrize("stem, seed", sorted(GOLDEN_HORIZON_4))
+def test_simulate_shipped_scenarios_golden_digests(tmp_path, stem, seed):
+    ss_trace, ss_metrics, filter_trace = GOLDEN_HORIZON_4[stem, seed]
+    digest = {}
+    for protocol in ("SS", "Hybrid"):
+        out = tmp_path / protocol
+        assert main(["simulate", str(SCENARIOS / f"{stem}.scenario"), "--seed", str(seed),
+                     "--protocol", protocol, "--horizon", "4", "--out", str(out)]) == 0
+        for kind in ("trace", "metrics"):
+            digest[protocol, kind] = hashlib.sha256(
+                (out / f"{stem}-seed{seed}-{kind}.csv").read_bytes()).hexdigest()
+    assert digest["SS", "trace"] == ss_trace
+    assert digest["SS", "metrics"] == ss_metrics
+    assert digest["Hybrid", "trace"] == filter_trace
+
+
 def test_simulate_seed_override_is_deterministic(fast_scenario, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", str(fast_scenario), "--out", str(a), "--seed", "7"]) == 0
@@ -146,10 +185,28 @@ def test_simulate_seed_override_is_deterministic(fast_scenario, tmp_path):
 def test_simulate_multiple_seeds_parallel(fast_scenario, tmp_path):
     out = tmp_path / "multi"
     assert main(["simulate", str(fast_scenario), "--out", str(out),
-                 "--seeds", "1,2", "--jobs", "2"]) == 0
+                 "--seed", "1,2", "--jobs", "2"]) == 0
     names = sorted(p.name for p in out.iterdir())
     assert names == ["fast-seed1-metrics.csv", "fast-seed1-trace.csv",
                      "fast-seed2-metrics.csv", "fast-seed2-trace.csv"]
+
+
+def test_simulate_seeds_flag_is_gone(fast_scenario, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(fast_scenario), "--out", str(tmp_path), "--seeds", "1,2"])
+    assert exc.value.code == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_simulate_auto_seed_names_the_seed_it_drew(fast_scenario, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", str(fast_scenario), "--out", str(out), "--seed", "auto"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("auto seed: ")
+    seed = int(err.split()[2])
+    assert 0 <= seed < 2**32
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"fast-seed{seed}-metrics.csv", f"fast-seed{seed}-trace.csv"]
 
 
 def test_simulate_missing_file_exits_two(tmp_path, capsys):
@@ -165,6 +222,14 @@ def test_simulate_config_error_names_key(tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
+def test_simulate_repeated_key_exits_two(tmp_path, capsys):
+    bad = tmp_path / "again.scenario"
+    bad.write_text(FAST_SCENARIO.replace("alpha = 10.0\n", "alpha = 10.0\nalpha = 0.5\n"))
+    assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+    assert "line 4: key 'alpha' already set on line 3" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_repeated_link_exits_two(tmp_path, capsys):
     bad = tmp_path / "twice.scenario"
     bad.write_text(FAST_SCENARIO.replace("edges = 0-1", "edges = 0-1, 1-0"))
@@ -177,6 +242,11 @@ def test_simulate_bad_seed_exits_two(fast_scenario, tmp_path, capsys):
     assert main(["simulate", str(fast_scenario), "--out", str(tmp_path),
                  "--seed", "pi"]) == 2
     assert "seed" in capsys.readouterr().err
+    for bad in ("1,pi", "", ","):
+        assert main(["simulate", str(fast_scenario), "--out", str(tmp_path),
+                     "--seed", bad]) == 2
+        assert f"bad seed {bad!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # --------------------------------------------------------------------- allan

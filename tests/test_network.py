@@ -31,7 +31,7 @@ P4 = (REF, ClockParams(10.0, 1.0), ClockParams(10.0, 0.5), ClockParams(10.0, 1.5
 
 
 def meas(link, y, sigma2):
-    return Measurement(link=link, t_k=0.0, y=y, sigma2=sigma2)
+    return Measurement(link=link, y=y, sigma2=sigma2)
 
 
 def diag_state(diag, params=P4):
@@ -106,7 +106,7 @@ def test_net_predict_is_net_predict_rows_over_every_row():
         st = initial_network_state(params).__class__(
             x_hat=rng.normal(size=n), P=a @ a.T, params=params)
         for dt in (1e-4, 0.013, 0.7, 5.0):
-            want = net_predict_rows(st, dict.fromkeys(range(n), dt))
+            want = net_predict_rows(st, dict.fromkeys(range(1, n + 1), dt))
             got = net_predict(st, dt)
             for w, g in ((want.x_hat, got.x_hat), (want.P, got.P)):
                 assert list(map(float.hex, g.ravel())) == list(map(float.hex, w.ravel())), (n, dt)
@@ -160,7 +160,7 @@ def test_single_node_network_reduces_to_pairwise():
         dt = rng.uniform(0.0, 0.05)
         y, s2 = rng.normal(), rng.uniform(1e-4, 1e-1)
         net = net_update_optimal(net_predict(net, dt), meas((0, 1), y, s2))
-        pair = update(predict(pair, dt), Measurement(link=(0, 1), t_k=0.0, y=y, sigma2=s2))
+        pair = update(predict(pair, dt), Measurement(link=(0, 1), y=y, sigma2=s2))
         assert net.x_hat[0] == pytest.approx(pair.x_hat, rel=1e-12, abs=1e-15)
         assert net.P[0, 0] == pytest.approx(pair.P, rel=1e-12)
 
@@ -307,7 +307,7 @@ def test_link_moments_match_net_predict_rows():
         x_hat=rng.normal(size=3, scale=0.2), P=0.5 * (b + b.T), params=P4,
     )
     assert np.count_nonzero(st.P) == 9
-    for elapsed in ({}, {0: 0.03}, {2: 0.01}, {0: 0.03, 1: 0.05}, {0: 0.02, 1: 0.0, 2: 0.04}):
+    for elapsed in ({}, {1: 0.03}, {3: 0.01}, {1: 0.03, 2: 0.05}, {1: 0.02, 2: 0.0, 3: 0.04}):
         full = net_predict_rows(st, elapsed)
         x = np.concatenate(([0.0], full.x_hat))
         p = np.zeros((4, 4))
@@ -320,6 +320,18 @@ def test_link_moments_match_net_predict_rows():
     for link in ((0, 4), (4, 1), (-1, 2)):
         with pytest.raises(ValueError, match="outside 0..3"):
             link_moments(st, *link, {})
+
+
+def test_elapsed_keys_are_nodes_one_to_n():
+    # node m sits in row m - 1: a key of 0 must not reach row -1
+    st = initial_network_state(P4)
+    for key in (0, st.n + 1):
+        with pytest.raises(ValueError, match=f"node {key}, outside 1..3"):
+            net_predict_rows(st, {key: 0.01})
+        with pytest.raises(ValueError, match=f"node {key}, outside 1..3"):
+            link_moments(st, 1, 2, {key: 0.01})
+        with pytest.raises(ValueError, match=f"node {key}, outside 1..3"):
+            link_moments(st, 0, 3, {3: 0.01, key: 0.01})
 
 
 def test_nodal_skew_trivial_and_reference():

@@ -26,8 +26,8 @@ REL = RelParams(alpha=10.0, eps_i=1.0, eps_j=1.0)  # eps_ij = sqrt(2), ceiling 0
 CEILING = REL.eps_ij**2 / (2 * REL.alpha)
 
 
-def meas(y, sigma2, t_k=0.0):
-    return Measurement(link=(0, 1), t_k=t_k, y=y, sigma2=sigma2)
+def meas(y, sigma2):
+    return Measurement(link=(0, 1), y=y, sigma2=sigma2)
 
 
 # ---------------------------------------------------------------- predict

@@ -1,6 +1,7 @@
 """Each clocklab module's ``__all__`` matches its public definitions,
 something in the source, the tests or the benchmark refers to each of
-them, and some call there sets each of their defaulted parameters."""
+them, some call there sets each of their defaulted parameters, and
+something there reads each field of their dataclasses."""
 
 import ast
 import importlib
@@ -182,6 +183,40 @@ def test_every_defaulted_parameter_is_set_somewhere():
                 or (is_field and param in keywords["replace"]))
     )
     assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
+def dataclass_fields(tree):
+    """``(class, field)`` of each field of a public dataclass."""
+    for node in tree.body:
+        if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                and "dataclass" in set(_decorators(node))):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def attribute_reads(tree):
+    """Attribute names read, as ``x.name`` loads or as ``getattr(x, "name")``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def test_every_dataclass_field_is_read():
+    """A field that nothing in the source, the tests or the benchmark
+    reads carries a value to no one: drop it."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    read = {name for tree in trees.values() for name in attribute_reads(tree)}
+    package = ROOT / "src" / "clocklab"
+    unread = sorted(
+        f"{path.stem}.{cls}.{name}"
+        for path, tree in trees.items() if path.parent == package
+        for cls, name in dataclass_fields(tree) if name not in read
+    )
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 def test_simulator_reads_no_filter_state_layout():

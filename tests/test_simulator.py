@@ -181,6 +181,25 @@ def test_read_scenario_errors(tmp_path):
         parse(ok + "epsilon_0 = 0.5\n")
 
 
+def test_read_scenario_rejects_a_repeated_key(tmp_path):
+    def parse(text):
+        p = tmp_path / "again.scenario"
+        p.write_text(text)
+        return read_scenario(p)
+
+    with pytest.raises(ValueError, match="line 6: key 'alpha' already set on line 5"):
+        parse(SCENARIO_FILE.replace("alpha = 10.0\n", "alpha = 10.0\nalpha = 0.5\n"))
+    with pytest.raises(ValueError, match="line 16: key 'epsilon_1' already set on line 15"):
+        parse(SCENARIO_FILE.replace("epsilon_1 = 1.0\n", "epsilon_1 = 1.0\nepsilon_1 = 3\n"))
+    with pytest.raises(ValueError, match="line 16: key 'epsilon_01' already set on line 15"):
+        parse(SCENARIO_FILE.replace("epsilon_1 = 1.0\n", "epsilon_1 = 1.0\nepsilon_01 = 3\n"))
+    # a second [delay] section, and a bare delay.* key, set the same keys
+    with pytest.raises(ValueError, match="line 24: key 'delay.mean' already set on line 20"):
+        parse(SCENARIO_FILE + "\n[delay]\nmean = 7e-3\n")
+    with pytest.raises(ValueError, match="line 3: key 'delay.kind' already set on line 1"):
+        parse("delay.kind = constant\n[delay]\nkind = uniform\n")
+
+
 # -------------------------------------------------------------------- MAC
 
 
@@ -231,10 +250,10 @@ def test_mac_maximal_matching_property():
 
 
 def test_compute_metrics_hand_values():
-    truth = {1: ([0.0, 1.0], [0.1, 1.3], [1.0, 1.2])}
-    est = {1: ([0.0, 0.2], [1.0, 1.1])}
+    # rows of (t, tau, skew, offset_est, skew_est)
+    samples = {1: [(0.0, 0.1, 1.0, 0.0, 1.0), (1.0, 1.3, 1.2, 0.2, 1.1)]}
     preds = {1: [(1.0, 1.5), (2.0, 1.8)]}
-    rep = compute_metrics(truth, est, preds)
+    rep = compute_metrics(samples, preds)
     assert rep.offset_mae[1] == pytest.approx(0.1)
     assert rep.skew_mae[1] == pytest.approx(0.05)
     assert rep.offset_nosync[1] == pytest.approx(0.2)
@@ -246,7 +265,7 @@ def test_compute_metrics_perfect_and_missing():
     t = np.linspace(0.0, 1.0, 5)
     tau = t + 0.25
     skew = np.full(5, 1.1)
-    rep = compute_metrics({2: (t, tau, skew)}, {2: (np.full(5, 0.25), skew)}, {})
+    rep = compute_metrics({2: list(zip(t, tau, skew, np.full(5, 0.25), skew))}, {})
     assert rep.offset_mae[2] == 0.0
     assert rep.skew_mae[2] == 0.0
     assert rep.offset_nosync[2] == pytest.approx(0.25)
@@ -254,19 +273,15 @@ def test_compute_metrics_perfect_and_missing():
 
 
 def test_compute_metrics_empty_and_mismatch():
-    rep = compute_metrics({1: ([], [], [])}, {1: ([], [])}, {})
+    rep = compute_metrics({1: []}, {})
     assert math.isnan(rep.offset_mae[1]) and math.isnan(rep.skew_mae[1])
     # prediction errors need no ground truth
-    rep = compute_metrics({1: ([], [], [])}, {1: ([], [])}, {1: [(1.0, 1.5)]})
+    rep = compute_metrics({1: []}, {1: [(1.0, 1.5)]})
     assert rep.pred_mae[1] == 0.5 and math.isnan(rep.offset_mae[1])
-    with pytest.raises(ValueError, match="length mismatch .* node 3"):
-        compute_metrics({3: ([0.0], [0.0], [1.0])}, {3: ([], [])}, {})
 
 
 def test_metrics_csv(tmp_path):
-    rep = compute_metrics(
-        {1: ([0.0], [0.5], [1.0])}, {1: ([0.5], [1.0])}, {1: [(0.0, 0.25)]}
-    )
+    rep = compute_metrics({1: [(0.0, 0.5, 1.0, 0.5, 1.0)]}, {1: [(0.0, 0.25)]})
     path = tmp_path / "metrics.csv"
     write_metrics_csv(rep, path)
     lines = path.read_text().splitlines()
@@ -345,7 +360,7 @@ def test_offset_reply_skews(proto, carried, own, skews):
         assert tau is None
         assert m.rel_off.values == {} and m.u_off[1] == 0.0
         return
-    rec = StampRecord(link=(1, 0), s=(s_i, s_j), r=(r_ij, r_ji), kind="offset-roundtrip")
+    rec = StampRecord(link=(1, 0), s=(s_i, s_j), r=(r_ij, r_ji))
     want = offset_delay_estimate(rec, *skews)[0]
     assert tau.hex() == want.hex()
     assert m.rel_off.values == {(1, 0): want} and m.u_off[1] == r_ji
@@ -382,11 +397,13 @@ def test_equal_send_stamps_skip_the_pair(proto):
 
 
 def dense_staleness_predict(st, elapsed):
-    """``P * outer(g, g) + diag(noise)`` over the whole network filter."""
+    """``P * outer(g, g) + diag(noise)`` over the whole network filter;
+    ``elapsed`` is keyed by node, and node m sits in row m - 1."""
     g, noise = np.ones(st.n), np.zeros(st.n)
-    for k, d in elapsed.items():
+    for m, d in elapsed.items():
+        k = m - 1
         g[k] = np.exp(-st.alpha * d)
-        noise[k] = st.params[k + 1].epsilon ** 2 / (2.0 * st.alpha) * (1.0 - g[k] * g[k])
+        noise[k] = st.params[m].epsilon ** 2 / (2.0 * st.alpha) * (1.0 - g[k] * g[k])
     return replace(st, x_hat=g * st.x_hat, P=st.P * np.outer(g, g) + np.diag(noise))
 
 
@@ -407,7 +424,7 @@ def test_mbcsp_readouts_match_the_dense_network_filter():
 
     def dense(now):
         return dense_staleness_predict(net, {
-            k - 1: max(0.0, stamp - m.network.last[k]) for k, stamp in now.items() if k != 0})
+            k: max(0.0, stamp - m.network.last[k]) for k, stamp in now.items() if k != 0})
 
     for (i, j) in ring.edges + ((3, 1), (0, 2)):
         now_i, now_j = t + rng.uniform(-0.05, 0.05), t + rng.uniform(-0.05, 0.05)
@@ -422,7 +439,7 @@ def test_mbcsp_readouts_match_the_dense_network_filter():
         tau = t + rng.uniform(-0.05, 0.05)
         want = nodal_skew_estimate(sc.params[k], *link_moments(dense({k: tau}), 0, k, {}), tau)
         assert m.nodal_skew(k, tau).hex() == want.hex()
-    elapsed = {0: 0.03, 2: 0.01}
+    elapsed = {1: 0.03, 3: 0.01}
     fast, slow = net_predict_rows(net, elapsed), dense_staleness_predict(net, elapsed)
     np.testing.assert_array_equal(fast.P, slow.P)
     np.testing.assert_array_equal(fast.x_hat, slow.x_hat)
