@@ -6,22 +6,4 @@ spatial smoothing, offset/delay estimation, and a discrete-event
 network simulator with trace replay.
 """
 
-from clocklab.clocks import (
-    AllanPoint,
-    ClockParams,
-    ClockTrajectory,
-    RelParams,
-    allan_variance_analytic,
-    allan_variance_empirical,
-    display_variance_bounds,
-    fit_params_from_allan,
-    ou_step_euler,
-    ou_step_exact,
-    ou_variance,
-    relative_params,
-    simulate_clock,
-    skew_autocorrelation,
-    skew_moments,
-)
-
 __version__ = "0.1.0"

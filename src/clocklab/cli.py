@@ -145,12 +145,18 @@ def _simulate_one(task):
 
 def _cmd_simulate(args) -> int:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    tasks = []
+    tasks, source = [], {}
     for path in args.scenario:
         file_seed = read_scenario(path).seed  # also validates the file early
         for seed in _resolve_seeds(args.seed, file_seed):
+            # Runs are named by (stem, seed): two with the same name
+            # would write the same files.
+            name = f"{Path(path).stem}-seed{seed}"
+            if name in source:
+                raise ValueError(f"{source[name]} and {path} both write the {name} outputs")
+            source[name] = path
             tasks.append((path, seed, args.protocol, args.horizon, str(outdir)))
+    outdir.mkdir(parents=True, exist_ok=True)
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_simulate_one, tasks))

@@ -12,8 +12,8 @@ module also evaluates the closed-form moments and variance bounds of
 all three processes, computes the Allan variance of the skew (from its
 exact series over the expanded correlation kernel, and from display
 samples), fits clock parameters to measured Allan curves by a descent
-seeded from a fixed log grid, and derives the parameters of the
-*relative* clock seen across a link between two nodes.
+seeded from a fixed log grid, and models the *relative* clock seen
+across a link between two nodes (:class:`RelParams`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -47,7 +47,6 @@ __all__ = [
     "allan_variance_analytic",
     "allan_variance_empirical",
     "fit_params_from_allan",
-    "relative_params",
     "write_trajectory_csv",
     "read_trajectory_csv",
 ]
@@ -88,25 +87,28 @@ class ClockParams:
 
 @dataclass(frozen=True)
 class RelParams:
-    """Parameters of the relative clock of a link (i, j).
+    """The relative clock ``a_ij(t) = a_j(t) / a_i(t)`` of a link (i, j),
+    from the endpoints' shared rate and their two diffusions.
 
-    The ratio ``a_ij(t) = a_j(t) / a_i(t)`` of two independent clock
-    skews is itself a log-normal clock with combined diffusion
-    ``eps_ij = sqrt(eps_i^2 + eps_j^2)`` and a deterministic normalizer
-    ``c_ij(t)`` that converges to ``c_ij_inf``.
+    The ratio of two independent clock skews is itself a log-normal
+    clock with combined diffusion :attr:`eps_ij` and a deterministic
+    normalizer :meth:`c_ij` that converges to :attr:`c_ij_inf`.  Link
+    measurements and filter readouts take the link in this one form.
     """
 
     alpha: float
     eps_i: float
     eps_j: float
-    eps_ij: float = field(init=False)
-    c_ij_inf: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eps_ij", math.hypot(self.eps_i, self.eps_j))
-        object.__setattr__(
-            self, "c_ij_inf", math.exp(-(self.eps_j**2 - self.eps_i**2) / (4.0 * self.alpha))
-        )
+    @property
+    def eps_ij(self) -> float:
+        """Combined diffusion ``sqrt(eps_i^2 + eps_j^2)`` of ``X_j - X_i``."""
+        return math.hypot(self.eps_i, self.eps_j)
+
+    @property
+    def c_ij_inf(self) -> float:
+        """Long-run normalizer ``exp(-(eps_j^2 - eps_i^2) / (4 alpha))``."""
+        return math.exp(-(self.eps_j**2 - self.eps_i**2) / (4.0 * self.alpha))
 
     def c_ij(self, t):
         """Deterministic normalizer of the relative skew at time ``t``.
@@ -605,29 +607,6 @@ def fit_params_from_allan(points, n_starts: int = 8, seed: int = 0) -> ClockPara
     logger.info("Allan fit: alpha=%.6g epsilon=%.6g residual=%.3e",
                 math.exp(u), math.exp(v), best[0])
     return ClockParams(math.exp(u), math.exp(v))
-
-
-# ---------------------------------------------------------------------------
-# Relative (link) parameters
-# ---------------------------------------------------------------------------
-
-def relative_params(pi: ClockParams, pj: ClockParams) -> RelParams:
-    """Parameters of the relative clock a_j / a_i across a link.
-
-    Both endpoints must share the same mean-reversion rate; the
-    relative log-skew ``X_j - X_i`` is again mean-reverting with
-    combined diffusion ``sqrt(eps_i^2 + eps_j^2)``.
-
-    Raises
-    ------
-    ValueError
-        If the rates differ ("alpha convention violated").
-    """
-    if pi.alpha != pj.alpha:
-        raise ValueError(
-            f"alpha convention violated: {pi.alpha!r} != {pj.alpha!r}"
-        )
-    return RelParams(alpha=pi.alpha, eps_i=pi.epsilon, eps_j=pj.epsilon)
 
 
 # ---------------------------------------------------------------------------

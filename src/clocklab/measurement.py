@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import truncnorm
 
-from clocklab.clocks import ClockParams, relative_params
+from clocklab.clocks import RelParams
 
 __all__ = [
     "DelayModel",
@@ -85,9 +86,10 @@ class DelayModel:
         if self.bound < self.mean:
             raise ValueError("bound must not be below the mean delay")
 
-    @property
+    @cached_property
     def variance(self) -> float:
-        """Variance of one delay draw."""
+        """Variance of one delay draw, computed once per (frozen) model:
+        a truncated-normal one is a scipy quadrature."""
         if self.kind == "constant":
             return 0.0
         if self.kind == "uniform":
@@ -162,7 +164,7 @@ def noise_variance(delta_s: float, m: DelayModel, floor: float) -> float:
     return floor + 2.0 * m.variance / delta_s**2
 
 
-def skew_measurement(rec: StampRecord, pi: ClockParams, pj: ClockParams, t_k: float,
+def skew_measurement(rec: StampRecord, rel: RelParams, t_k: float,
                      delay_model: DelayModel, floor: float) -> Measurement:
     """Relative log-skew measurement from a two-packet exchange.
 
@@ -178,8 +180,8 @@ def skew_measurement(rec: StampRecord, pi: ClockParams, pj: ClockParams, t_k: fl
     ----------
     rec : StampRecord
         A skew pair on the link (i, j); node i sent both packets.
-    pi, pj : ClockParams
-        Sender and receiver clock parameters.
+    rel : RelParams
+        The link's relative clock, i the sender and j the receiver.
     t_k : float
         Measurement epoch (reference time if known, otherwise the
         receiver-clock proxy; see :func:`measurement_epoch`), at which
@@ -201,8 +203,7 @@ def skew_measurement(rec: StampRecord, pi: ClockParams, pj: ClockParams, t_k: fl
         raise ValueError(f"non-increasing send stamps: {s0!r} -> {s1!r}")
     if r1 == r0:
         raise ValueError(f"degenerate receive stamps: both {r0!r}")
-    rp = relative_params(pi, pj)
-    y = math.log(abs((r1 - r0) / (s1 - s0))) - math.log(rp.c_ij(t_k))
+    y = math.log(abs((r1 - r0) / (s1 - s0))) - math.log(rel.c_ij(t_k))
     sigma2 = noise_variance(s1 - s0, delay_model, floor)
     return Measurement(link=rec.link, y=y, sigma2=sigma2)
 

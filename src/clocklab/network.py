@@ -18,8 +18,11 @@ own elapsed time, as a distributed node's rows age on its own clock;
 :func:`net_predict` advances every row by the same time.
 A state holds no clock of its own: callers keep the stamps that the
 elapsed times are taken from.
-Readouts are log-normal formulas of :func:`link_moments`, which reads
-a link's moments from its endpoints' entries without building a state.
+Readouts are log-normal formulas of the moments that
+:func:`link_moments` reads from a link's endpoint entries, without
+building a state: :func:`relative_skew_readout` takes the link's
+relative clock (:class:`clocklab.clocks.RelParams`) and
+:func:`nodal_skew_estimate` a node's own clock parameters.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from clocklab.clocks import ClockParams, RelParams, skew_normalizer
 from clocklab.measurement import Measurement
-from clocklab.pairwise import PairwiseFilterState, relative_skew_estimate
+from clocklab.pairwise import relative_skew_estimate
 
 __all__ = [
     "NetworkFilterState",
@@ -267,10 +270,11 @@ def relative_skew_readout(
 ) -> tuple[float, float, float]:
     """Directed relative-skew estimates for a link (i, j) plus the symmetrized one.
 
-    The raw conditional means are the pairwise filter's for the moments
-    of ``x_j - x_i``, with ``rel`` the link's parameters; the
-    symmetrized estimate ``sqrt(a_ij_hat / a_ji_hat)`` drops the
-    variance inflation so the two directions multiply to one.
+    ``mean`` and ``var`` are the moments of ``x_j - x_i``
+    (:func:`link_moments`) and ``rel`` the link's relative clock; the
+    raw conditional means are :func:`clocklab.pairwise.relative_skew_estimate`
+    of them, and the symmetrized estimate ``sqrt(a_ij_hat / a_ji_hat)``
+    drops the variance inflation so the two directions multiply to one.
     """
-    a_ij, a_ji = relative_skew_estimate(PairwiseFilterState(x_hat=mean, P=var, rel=rel), t)
+    a_ij, a_ji = relative_skew_estimate(rel, mean, var, t)
     return float(a_ij), float(a_ji), float(np.sqrt(a_ij / a_ji))

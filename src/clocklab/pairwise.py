@@ -123,20 +123,23 @@ def update(st: PairwiseFilterState, m: Measurement) -> PairwiseFilterState:
     )
 
 
-def relative_skew_estimate(st: PairwiseFilterState, t: float) -> tuple[float, float]:
-    """Minimum-variance estimates of the relative skews in both directions.
+def relative_skew_estimate(rel: RelParams, mean: float, var: float,
+                           t: float) -> tuple[float, float]:
+    """Minimum-variance estimates of a link's relative skews in both directions.
 
-    The relative skew is log-normal given the data, so its conditional
-    mean carries the half-variance correction:
-    ``a_ij_hat = c_ij(t) e^{x_hat + P/2}`` and
-    ``a_ji_hat = c_ji(t) e^{-x_hat + P/2}``.  Their product is exactly
-    ``e^P >= 1`` (the two normalizers are reciprocal), a measure of the
-    remaining uncertainty.
+    ``mean`` and ``var`` are the conditional moments of the link's
+    relative log-skew ``x_j - x_i`` (a filter's ``x_hat`` and ``P``)
+    and ``rel`` its relative clock.  The relative skew is log-normal
+    given the data, so its conditional mean carries the half-variance
+    correction: ``a_ij_hat = c_ij(t) e^{mean + var/2}`` and
+    ``a_ji_hat = c_ji(t) e^{-mean + var/2}``.  Their product is exactly
+    ``e^var >= 1`` (the two normalizers are reciprocal), a measure of
+    the remaining uncertainty.
     """
-    c = st.rel.c_ij(t)
-    half = 0.5 * st.P
-    a_ij = c * np.exp(st.x_hat + half)
-    a_ji = (1.0 / c) * np.exp(-st.x_hat + half)
+    c = rel.c_ij(t)
+    half = 0.5 * var
+    a_ij = c * np.exp(mean + half)
+    a_ji = (1.0 / c) * np.exp(-mean + half)
     return a_ij, a_ji
 
 

@@ -508,7 +508,10 @@ class ProtocolMachine:
         ``row.dst`` refreshed its nodal offset.  A ``skew-b``,
         ``off-rep`` or ``off-ack`` whose earlier leg never arrived is
         an orphan: it is counted in ``orphans`` and changes nothing.
+        A row between nodes that no graph link joins raises
+        ``ValueError`` before any state changes.
         """
+        self._edge_of(row.src, row.dst)
         kind, seq, s, r = row.kind, row.seq, row.s_stamp, row.r_stamp
         if kind == "skew-a":
             self._legs[seq, kind] = (s, r)
@@ -602,11 +605,9 @@ class ProtocolMachine:
             self.rel_logskew.store(key, math.log(self.ratios[key]))
             self.rel_logskew.relax(rcv, self.w_skew)
             return
-        m = skew_measurement(
-            rec, self.params[snd], self.params[rcv],
-            t_k=measurement_epoch(rec), delay_model=self.sc.delay,
-            floor=self.sc.noise_floor,
-        )
+        rel = RelParams(self.sc.alpha, self.params[snd].epsilon, self.params[rcv].epsilon)
+        m = skew_measurement(rec, rel, t_k=measurement_epoch(rec),
+                             delay_model=self.sc.delay, floor=self.sc.noise_floor)
         self._filter(snd, rcv).update(m, {snd: s1, rcv: r1})
         if self.protocol != "Hybrid":
             return

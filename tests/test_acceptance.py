@@ -41,12 +41,10 @@ from clocklab.network import (
 from clocklab.pairwise import (
     initial_state,
     predict,
-    relative_skew_estimate,
     update,
     variance_upper_bound,
 )
 from clocklab.simulator import (
-    ProtocolMachine,
     mac_arbitrate,
     read_scenario,
     read_trace_csv,

@@ -158,20 +158,44 @@ GOLDEN_HORIZON_4 = {
 }
 
 
-@pytest.mark.parametrize("stem, seed", sorted(GOLDEN_HORIZON_4))
-def test_simulate_shipped_scenarios_golden_digests(tmp_path, stem, seed):
-    ss_trace, ss_metrics, filter_trace = GOLDEN_HORIZON_4[stem, seed]
+def assert_horizon_4_digests(scenario, seed, tmp_path, golden):
+    """``golden`` holds the SS trace and metrics and the Hybrid trace
+    digests of ``scenario`` run with ``--horizon 4``."""
+    ss_trace, ss_metrics, filter_trace = golden
     digest = {}
     for protocol in ("SS", "Hybrid"):
         out = tmp_path / protocol
-        assert main(["simulate", str(SCENARIOS / f"{stem}.scenario"), "--seed", str(seed),
+        assert main(["simulate", str(scenario), "--seed", str(seed),
                      "--protocol", protocol, "--horizon", "4", "--out", str(out)]) == 0
         for kind in ("trace", "metrics"):
             digest[protocol, kind] = hashlib.sha256(
-                (out / f"{stem}-seed{seed}-{kind}.csv").read_bytes()).hexdigest()
+                (out / f"{scenario.stem}-seed{seed}-{kind}.csv").read_bytes()).hexdigest()
     assert digest["SS", "trace"] == ss_trace
     assert digest["SS", "metrics"] == ss_metrics
     assert digest["Hybrid", "trace"] == filter_trace
+
+
+@pytest.mark.parametrize("stem, seed", sorted(GOLDEN_HORIZON_4))
+def test_simulate_shipped_scenarios_golden_digests(tmp_path, stem, seed):
+    assert_horizon_4_digests(SCENARIOS / f"{stem}.scenario", seed, tmp_path,
+                             GOLDEN_HORIZON_4[stem, seed])
+
+
+# The same digests for the shipped ring with truncated-normal delays, the
+# one delay kind no shipped scenario uses, at seed 0.  The delays come
+# from scipy's truncnorm sampler, so these digests also pin its stream.
+GOLDEN_TRUNCATED_NORMAL_RING = (
+    "a247227d4e6e8b241b365aeccf057c71a38883245254f42612ede8886a14e5e2",
+    "1b06efdba3e1566bcea779b083b1148e825ee1d5ad768fd75bb9a9c0fb319673",
+    "8cd22cb4e1daa5107d4c2682962e3e9312bc29264f0d91bc7be6b98b5c9ea579")
+
+
+def test_simulate_truncated_normal_ring_golden_digests(tmp_path):
+    text = (SCENARIOS / "five-node-ring.scenario").read_text()
+    assert "kind = uniform" in text
+    scenario = tmp_path / "ring.scenario"
+    scenario.write_text(text.replace("kind = uniform", "kind = truncated-normal"))
+    assert_horizon_4_digests(scenario, 0, tmp_path, GOLDEN_TRUNCATED_NORMAL_RING)
 
 
 def test_simulate_seed_override_is_deterministic(fast_scenario, tmp_path):
@@ -189,6 +213,26 @@ def test_simulate_multiple_seeds_parallel(fast_scenario, tmp_path):
     names = sorted(p.name for p in out.iterdir())
     assert names == ["fast-seed1-metrics.csv", "fast-seed1-trace.csv",
                      "fast-seed2-metrics.csv", "fast-seed2-trace.csv"]
+
+
+def test_simulate_repeated_seed_exits_two(fast_scenario, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["simulate", str(fast_scenario), "--out", str(out),
+                 "--seed", "1,2,1", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(str(fast_scenario)) == 2 and "fast-seed1" in err
+    assert not out.exists()
+
+
+def test_simulate_shared_stem_exits_two(fast_scenario, tmp_path, capsys):
+    other = tmp_path / "other" / "fast.scenario"
+    other.parent.mkdir()
+    other.write_text(FAST_SCENARIO)
+    out = tmp_path / "runs"
+    assert main(["simulate", str(fast_scenario), str(other), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(fast_scenario) in err and str(other) in err and "fast-seed3" in err
+    assert not out.exists()
 
 
 def test_simulate_seeds_flag_is_gone(fast_scenario, tmp_path):
@@ -355,6 +399,33 @@ def test_replay_matches_simulate_bit_exactly(fast_scenario, tmp_path):
 
 def test_replay_missing_trace_exits_two(fast_scenario, tmp_path):
     assert main(["replay", str(tmp_path / "none.csv"), str(fast_scenario)]) == 2
+
+
+@pytest.fixture(scope="module")
+def ring_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ring")
+    assert main(["simulate", str(SCENARIOS / "five-node-ring.scenario"),
+                 "--horizon", "2", "--out", str(out)]) == 0
+    return out / "five-node-ring-seed0-trace.csv"
+
+
+@pytest.mark.parametrize("protocol", ["SS", "Hybrid", "MBCSP"])
+@pytest.mark.parametrize("target", ["line", "two-node"])
+def test_replay_rejects_a_trace_off_the_scenario_graph(ring_trace, tmp_path, capsys,
+                                                       target, protocol):
+    # The ring's link 4-0 is in neither graph.
+    if target == "line":
+        ring = (SCENARIOS / "five-node-ring.scenario").read_text()
+        assert "edges = 0-1, 1-2, 2-3, 3-4, 4-0" in ring
+        scenario = tmp_path / "line.scenario"
+        scenario.write_text(ring.replace("3-4, 4-0", "3-4"))
+    else:
+        scenario = SCENARIOS / "two-node.scenario"
+    out = tmp_path / "replay.csv"
+    assert main(["replay", str(ring_trace), str(scenario), "--protocol", protocol,
+                 "--out", str(out)]) == 2
+    assert "no edge between" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- smooth

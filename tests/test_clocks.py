@@ -20,6 +20,7 @@ from clocklab import clocks
 from clocklab.clocks import (
     AllanPoint,
     ClockParams,
+    RelParams,
     allan_variance_analytic,
     allan_variance_empirical,
     clock_chunks,
@@ -30,7 +31,6 @@ from clocklab.clocks import (
     ou_transition,
     ou_variance,
     read_trajectory_csv,
-    relative_params,
     sample_displays,
     simulate_clock,
     skew_autocorrelation,
@@ -550,21 +550,16 @@ def test_fit_from_grid_start_alone():
 # ---------------------------------------------------------------------------
 
 def test_relative_params_symmetric_link():
-    rp = relative_params(P10_1, P10_1)
+    rp = RelParams(10.0, 1.0, 1.0)
     assert rp.eps_ij == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert rp.c_ij_inf == 1.0
     assert rp.c_ij(0.37) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_relative_params_reference_endpoint():
-    rp = relative_params(P10_1, ClockParams(10.0, 0.0))
+    rp = RelParams(10.0, 1.0, 0.0)
     assert rp.eps_ij == pytest.approx(1.0, rel=1e-12)
     assert rp.c_ij_inf == pytest.approx(math.exp(1.0 / 40.0), rel=1e-12)
-
-
-def test_relative_params_alpha_mismatch():
-    with pytest.raises(ValueError, match="alpha convention violated"):
-        relative_params(P10_1, ClockParams(11.0, 1.0))
 
 
 def test_relative_skew_mean_monte_carlo():
@@ -577,7 +572,7 @@ def test_relative_skew_mean_monte_carlo():
     x_i = rng.normal(0.0, math.sqrt(ou_variance(t, pi)), n)
     x_j = rng.normal(0.0, math.sqrt(ou_variance(t, pj)), n)
     a_ij = (skew_normalizer(t, pj) * np.exp(x_j)) / (skew_normalizer(t, pi) * np.exp(x_i))
-    rp = relative_params(pi, pj)
+    rp = RelParams(10.0, pi.epsilon, pj.epsilon)
     np.testing.assert_allclose(a_ij, rp.c_ij(t) * np.exp(x_j - x_i), rtol=1e-12)
     expected = rp.relative_skew_mean(t)
     assert expected > 1.0
@@ -586,8 +581,8 @@ def test_relative_skew_mean_monte_carlo():
 
 def test_relative_mean_product_grows_to_limit():
     pi, pj = P10_1, ClockParams(10.0, 0.5)
-    ij = relative_params(pi, pj)
-    ji = relative_params(pj, pi)
+    ij = RelParams(10.0, pi.epsilon, pj.epsilon)
+    ji = RelParams(10.0, pj.epsilon, pi.epsilon)
     prod = lambda t: ij.relative_skew_mean(t) * ji.relative_skew_mean(t)
     ts = np.linspace(0.0, 3.0, 30)
     vals = np.array([prod(t) for t in ts])
@@ -603,9 +598,8 @@ def test_relative_mean_product_grows_to_limit():
     t=st.floats(0.0, 10.0),
 )
 def test_relative_normalizers_reciprocal(eps_i, eps_j, t):
-    pi, pj = ClockParams(10.0, eps_i), ClockParams(10.0, eps_j)
-    ij = relative_params(pi, pj)
-    ji = relative_params(pj, pi)
+    ij = RelParams(10.0, eps_i, eps_j)
+    ji = RelParams(10.0, eps_j, eps_i)
     assert ij.c_ij(t) * ji.c_ij(t) == pytest.approx(1.0, rel=1e-12)
     assert ij.c_ij(0.0) == pytest.approx(1.0, rel=1e-12)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import truncnorm
 
 from conftest import sem
-from clocklab.clocks import ClockParams, simulate_clock
+from clocklab.clocks import ClockParams, RelParams, simulate_clock
 from clocklab.measurement import (
     DelayModel,
     Measurement,
@@ -23,6 +23,7 @@ from clocklab.measurement import (
 )
 
 P10_1 = ClockParams(alpha=10.0, epsilon=1.0)
+REL11 = RelParams(alpha=10.0, eps_i=1.0, eps_j=1.0)
 # A constant delay adds nothing to the noise variance: only the floor is left.
 CONSTANT = DelayModel("constant", mean=5e-3)
 FLOOR = 1e-6
@@ -114,7 +115,7 @@ def test_noise_variance_decreasing(ds, factor):
 
 def test_skew_measurement_identical_clocks():
     rec = StampRecord(link=(1, 2), s=(1.0, 1.4), r=(1.0, 1.4))
-    meas = skew_measurement(rec, P10_1, P10_1, 1.4, CONSTANT, FLOOR)
+    meas = skew_measurement(rec, REL11, 1.4, CONSTANT, FLOOR)
     assert meas.y == 0.0
     assert meas.sigma2 == 1e-6
     assert meas.link == (1, 2)
@@ -129,25 +130,24 @@ def test_skew_measurement_identical_clocks():
 def test_skew_measurement_equal_eps_no_correction(ratio, t_k, eps):
     # Equal diffusion coefficients: the normalizer correction vanishes
     # for every epoch, so y is exactly the raw log-ratio.
-    p = ClockParams(10.0, eps)
     rec = StampRecord(link=(1, 2), s=(2.0, 2.5), r=(3.0, 3.0 + 0.5 * ratio))
-    meas = skew_measurement(rec, p, p, t_k, CONSTANT, FLOOR)
+    meas = skew_measurement(rec, RelParams(10.0, eps, eps), t_k, CONSTANT, FLOOR)
     assert meas.y == pytest.approx(math.log(ratio), abs=1e-12)
 
 
 def test_skew_measurement_out_of_order_receipt():
     rec = StampRecord(link=(1, 2), s=(2.0, 2.5), r=(3.0, 2.9))
-    meas = skew_measurement(rec, P10_1, P10_1, 0.0, CONSTANT, FLOOR)
+    meas = skew_measurement(rec, REL11, 0.0, CONSTANT, FLOOR)
     assert meas.y == pytest.approx(math.log(0.1 / 0.5), abs=1e-12)
 
 
 def test_skew_measurement_errors():
     with pytest.raises(ValueError, match="non-increasing send stamps"):
         skew_measurement(StampRecord(link=(1, 2), s=(2.0, 2.0), r=(3.0, 3.1)),
-                         P10_1, P10_1, 0.0, CONSTANT, FLOOR)
+                         REL11, 0.0, CONSTANT, FLOOR)
     with pytest.raises(ValueError, match="degenerate receive stamps"):
         skew_measurement(StampRecord(link=(1, 2), s=(2.0, 2.4), r=(3.0, 3.0)),
-                         P10_1, P10_1, 0.0, CONSTANT, FLOOR)
+                         REL11, 0.0, CONSTANT, FLOOR)
 
 
 def _exchange_ys(pi, pj, n_exchanges, gap_steps, pair_steps, delay_steps,
@@ -167,10 +167,11 @@ def _exchange_ys(pi, pj, n_exchanges, gap_steps, pair_steps, delay_steps,
     r0 = tj.displays[k0 + delay_steps]
     r1 = tj.displays[k0 + pair_steps + delay_steps]
     x_ij = tj.states[k0] - ti.states[k0]
+    rel = RelParams(pi.alpha, pi.epsilon, pj.epsilon)
     ys = np.empty(n_exchanges)
     for k in range(n_exchanges):
         rec = StampRecord(link=(1, 2), s=(s0[k], s1[k]), r=(r0[k], r1[k]))
-        ys[k] = skew_measurement(rec, pi, pj, k0[k] * dt, CONSTANT, FLOOR).y
+        ys[k] = skew_measurement(rec, rel, k0[k] * dt, CONSTANT, FLOOR).y
     return ys, x_ij
 
 

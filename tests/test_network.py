@@ -19,7 +19,6 @@ from clocklab.network import (
     relative_skew_readout,
 )
 from clocklab.pairwise import (
-    PairwiseFilterState,
     initial_state,
     predict,
     relative_skew_estimate,
@@ -363,10 +362,9 @@ def test_relative_readout_matches_pairwise_on_two_nodes():
     net = net.__class__(
         x_hat=np.array([0.1]), P=np.array([[0.02]]), params=net.params
     )
-    pair = PairwiseFilterState(x_hat=0.1, P=0.02, rel=rel)
     for t in (0.0, 0.05, 2.0):
         a_ij, a_ji, sym = readout(net, 0, 1, t)
-        pa_ij, pa_ji = relative_skew_estimate(pair, t)
+        pa_ij, pa_ji = relative_skew_estimate(rel, 0.1, 0.02, t)
         assert a_ij == pytest.approx(pa_ij, rel=1e-14)
         assert a_ji == pytest.approx(pa_ji, rel=1e-14)
         assert sym == pytest.approx(math.sqrt(a_ij / a_ji), rel=1e-14)

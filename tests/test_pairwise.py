@@ -146,15 +146,15 @@ def test_sign_flipped_measurements_negate_the_estimate():
 
 
 def test_relative_skew_estimate_fresh_state_is_unity():
-    a_ij, a_ji = relative_skew_estimate(initial_state(REL), 0.0)
+    fresh = initial_state(REL)
+    a_ij, a_ji = relative_skew_estimate(fresh.rel, fresh.x_hat, fresh.P, 0.0)
     assert a_ij == pytest.approx(1.0)
     assert a_ji == pytest.approx(1.0)
 
 
 def test_relative_skew_estimate_closed_form():
     rel = RelParams(alpha=10.0, eps_i=0.5, eps_j=1.5)
-    st0 = PairwiseFilterState(x_hat=0.2, P=0.03, rel=rel)
-    a_ij, a_ji = relative_skew_estimate(st0, 0.1)
+    a_ij, a_ji = relative_skew_estimate(rel, 0.2, 0.03, 0.1)
     c = rel.c_ij(0.1)
     assert a_ij == pytest.approx(c * math.exp(0.2 + 0.015), rel=1e-14)
     assert a_ji == pytest.approx(math.exp(-0.2 + 0.015) / c, rel=1e-14)
@@ -172,8 +172,7 @@ def test_relative_skew_estimates_multiply_to_exp_P(x, p, t, ei, ej):
     # The two directed estimates always multiply to e^P: the
     # deterministic normalizers are reciprocal for any noise split.
     rel = RelParams(alpha=10.0, eps_i=ei, eps_j=ej)
-    st0 = PairwiseFilterState(x_hat=x, P=p, rel=rel)
-    a_ij, a_ji = relative_skew_estimate(st0, t)
+    a_ij, a_ji = relative_skew_estimate(rel, x, p, t)
     assert a_ij * a_ji == pytest.approx(math.exp(p), rel=1e-12)
 
 

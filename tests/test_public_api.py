@@ -1,7 +1,8 @@
 """Each clocklab module's ``__all__`` matches its public definitions,
 something in the source, the tests or the benchmark refers to each of
-them, some call there sets each of their defaulted parameters, and
-something there reads each field of their dataclasses."""
+them, some call there sets each of their defaulted parameters,
+something there reads each field of their dataclasses, and no file in
+the source or the tests imports a name it never uses."""
 
 import ast
 import importlib
@@ -46,6 +47,42 @@ SOURCES = [
     path for part in ("src", "tests", "perfbench")
     for path in sorted((ROOT / part).rglob("*.py"))
 ]
+
+
+def unused_imports(tree, lines):
+    """``(line, name)`` of each name that a module imports and never uses.
+
+    A use is a load of the name anywhere in the module or its listing in
+    ``__all__``.  ``__future__`` imports and import lines marked
+    ``# noqa: F401`` are skipped.
+    """
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            if alias.name != "*" and "# noqa: F401" not in lines[alias.lineno - 1]:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    """An import that nothing uses is dead code, and in the package's
+    ``__init__`` it is a second import path for the name."""
+    found = []
+    for path in SOURCES:
+        if path.relative_to(ROOT).parts[0] in ("src", "tests"):
+            text = path.read_text()
+            found += [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name
+                      in unused_imports(ast.parse(text, str(path)), text.splitlines())]
+    assert not found, f"imported and never used: {found}"
 
 
 def public_definitions(tree):

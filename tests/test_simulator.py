@@ -23,7 +23,6 @@ from clocklab.network import (
 from clocklab.simulator import (
     PROTOCOLS,
     TRACE_HEADER,
-    MetricsReport,
     ProtocolMachine,
     Scenario,
     TraceRow,
@@ -611,6 +610,21 @@ def test_replay_tolerates_empty_and_orphan_rows():
     assert m.orphans == 3
     with pytest.raises(ValueError, match="unknown packet kind 'sync'"):
         m.deliver(TraceRow("sync", 0, 1, 6, 0.0, 0.1))
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS)
+@pytest.mark.parametrize("src, dst", [(0, 2), (2, 0), (7, 1), (1, 7)])
+def test_replay_rejects_rows_off_the_graph(proto, src, dst):
+    sc = Scenario(graph=LINE3, alpha=10.0, epsilons=(0.0, 1.0, 1.0), delay=DELAY,
+                  protocol=proto)
+    rows = [TraceRow(kind, src, dst, 1, 0.0, 0.1) for kind in ("skew-a", "skew-b")]
+    with pytest.raises(ValueError, match=f"no edge between {src} and {dst}"):
+        trace_replay(rows, sc)
+    m = ProtocolMachine(sc)
+    for row in rows[::-1]:  # a lone skew-b would count an orphan
+        with pytest.raises(ValueError, match="no edge"):
+            m.deliver(row)
+    assert m.orphans == 0
 
 
 def assert_replay_exact(live, trace, sc, path):
