@@ -111,13 +111,14 @@ class RelParams:
         return math.exp(-(self.eps_j**2 - self.eps_i**2) / (4.0 * self.alpha))
 
     def c_ij(self, t):
-        """Deterministic normalizer of the relative skew at time ``t``.
+        """Deterministic normalizer of the relative skew at time ``t``, a
+        float or an array of them.
 
         Equals ``c_j(t) / c_i(t)``; starts at 1 and decays to
         ``c_ij_inf`` at rate ``2 alpha``.
         """
         q = (self.eps_j**2 - self.eps_i**2) / self.alpha
-        return self.c_ij_inf * np.exp(0.25 * q * np.exp(-2.0 * self.alpha * np.asarray(t, float)))
+        return self.c_ij_inf * np.exp(0.25 * q * np.exp(-2.0 * self.alpha * t))
 
     def relative_skew_mean(self, t):
         """Mean of the relative skew a_j/a_i at time ``t``.

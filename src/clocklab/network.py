@@ -18,15 +18,23 @@ own elapsed time, as a distributed node's rows age on its own clock;
 :func:`net_predict` advances every row by the same time.
 A state holds no clock of its own: callers keep the stamps that the
 elapsed times are taken from.
+
+The per-node operations (:func:`net_predict_rows`,
+:func:`net_update_distributed`) change only their nodes' rows and
+columns.  They compute those rows into temporaries from the input and
+then write them into a target state: ``out``, which may be the input
+itself, so a filter that owns its state advances it with no copy of
+``P``; without ``out`` the target is a fresh copy of the input.
 Readouts are log-normal formulas of the moments that
-:func:`link_moments` reads from a link's endpoint entries, without
-building a state: :func:`relative_skew_readout` takes the link's
-relative clock (:class:`clocklab.clocks.RelParams`) and
-:func:`nodal_skew_estimate` a node's own clock parameters.
+:func:`link_moments` reads from a link's endpoint entries, in Python
+floats and without building a state: :func:`relative_skew_readout`
+takes the link's relative clock (:class:`clocklab.clocks.RelParams`)
+and :func:`nodal_skew_estimate` a node's own clock parameters.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,8 +63,11 @@ class NetworkFilterState:
 
     ``x_hat[m-1]`` estimates node m's state and ``P`` is the matching
     error covariance; ``params[i]`` holds node i's clock parameters for
-    every node *including* the reference at index 0.  Treated as
-    immutable: operations return fresh arrays.
+    every node *including* the reference at index 0.  The fields are
+    fixed, but the arrays are not: :func:`net_predict_rows` and
+    :func:`net_update_distributed` given a target state (``out``)
+    write their result into its arrays; every operation without a
+    target returns fresh arrays and leaves its input as it was.
     """
 
     x_hat: np.ndarray
@@ -117,15 +128,26 @@ def _check_nodes(st: NetworkFilterState, elapsed: dict[int, float]) -> None:
             raise ValueError(f"elapsed time for node {m!r}, outside 1..{st.n}")
 
 
-def _row_decay(st: NetworkFilterState, node: int, dt: float):
+def _row_decay(st: NetworkFilterState, node: int, dt: float) -> tuple[float, float]:
     """Decay factor of a node's state over ``dt`` and the process noise
     that its variance collects."""
-    decay = np.exp(-st.alpha * dt)
+    decay = float(np.exp(-st.alpha * dt))
     return decay, st.params[node].stationary_state_variance * (1.0 - decay * decay)
 
 
-def net_predict_rows(st: NetworkFilterState,
-                     elapsed: dict[int, float]) -> NetworkFilterState:
+def _target(st: NetworkFilterState, out: NetworkFilterState | None) -> NetworkFilterState:
+    """The state an operation writes into, holding the values of ``st``:
+    ``out`` (copied into unless it is ``st``), or fresh copies."""
+    if out is None:
+        return replace(st, x_hat=st.x_hat.copy(), P=st.P.copy())
+    if out is not st:
+        np.copyto(out.x_hat, st.x_hat)
+        np.copyto(out.P, st.P)
+    return out
+
+
+def net_predict_rows(st: NetworkFilterState, elapsed: dict[int, float],
+                     out: NetworkFilterState | None = None) -> NetworkFilterState:
     """Advance selected nodes' states by their own elapsed times.
 
     ``elapsed`` maps node ids (1..n; another key raises ``ValueError``)
@@ -137,19 +159,23 @@ def net_predict_rows(st: NetworkFilterState,
     becomes ``P[k, :] * (g[k] * g)``, is copied onto column k, and then
     ``P[k, k]`` gains the process noise: entry for entry this is
     ``P * outer(g, g) + diag(noise)`` for a symmetric ``P``, at
-    O(n * len(elapsed)) arithmetic on top of copying ``P``.
+    O(n * len(elapsed)) arithmetic.  The named rows are computed from
+    ``st`` before any is written, so the result lands in ``out`` (which
+    may be ``st``) or, without ``out``, in a fresh copy of ``st``.
     """
     _check_nodes(st, elapsed)
     g = np.ones(st.n)
     noise = {}
     for m in sorted(elapsed):
         g[m - 1], noise[m - 1] = _row_decay(st, m, elapsed[m])
-    p_new = st.P.copy()
-    for k in noise:
-        p_new[k, :] = p_new[:, k] = st.P[k, :] * (g[k] * g)
+    rows = {k: st.P[k, :] * (g[k] * g) for k in noise}
+    out = _target(st, out)
+    for k, row in rows.items():
+        out.P[k, :] = out.P[:, k] = row
     for k, add in noise.items():
-        p_new[k, k] += add
-    return replace(st, x_hat=g * st.x_hat, P=p_new)
+        out.P[k, k] += add
+        out.x_hat[k] *= g[k]
+    return out
 
 
 def net_predict(st: NetworkFilterState, dt: float) -> NetworkFilterState:
@@ -203,7 +229,8 @@ def net_update_optimal(st: NetworkFilterState, m: Measurement) -> NetworkFilterS
     )
 
 
-def net_update_distributed(st: NetworkFilterState, m: Measurement) -> NetworkFilterState:
+def net_update_distributed(st: NetworkFilterState, m: Measurement,
+                           out: NetworkFilterState | None = None) -> NetworkFilterState:
     """Link-local update: gain truncated to the link's own endpoints.
 
     Uses the optimal gain components at i and j and zero elsewhere, so
@@ -215,23 +242,40 @@ def net_update_distributed(st: NetworkFilterState, m: Measurement) -> NetworkFil
     Expanded, that form is the rank-2 update
     ``P - K pm' - pm K' + c_k K K'`` with ``pm = P M``.  K is zero off
     the link, so only the endpoints' rows and columns change: they are
-    computed as rows, in O(n), and copied onto the columns, which keeps
-    ``P`` exactly symmetric.  The rest of ``P`` is copied unchanged
-    into the returned state.
+    computed from ``st`` as rows, in O(n), and then written onto the
+    rows and columns of ``out`` (which may be ``st``), which keeps
+    ``P`` exactly symmetric.  Without ``out`` they are written into a
+    fresh copy of ``st``.
     """
     ks, pm, c_k, innovation = _innovation_stats(st, m)
     if c_k <= 0:
         raise ValueError(f"covariance degenerate: c_k={c_k!r}")
-    gain = pm[ks] / c_k
-    rows = st.P[ks, :] - np.outer(gain, pm)
-    block = rows[:, ks] - np.outer(pm[ks], gain) + c_k * np.outer(gain, gain)
+    pm_k = pm[ks]
+    gain = pm_k / c_k
+    rows = st.P[ks, :] - gain[:, None] * pm  # outer products, broadcast
+    block = rows[:, ks] - pm_k[:, None] * gain + c_k * (gain[:, None] * gain)
     rows[:, ks] = 0.5 * (block + block.T)
-    p_new = st.P.copy()
-    p_new[ks, :] = rows
-    p_new[:, ks] = rows.T
-    x_new = st.x_hat.copy()
-    x_new[ks] += gain * innovation
-    return replace(st, x_hat=x_new, P=p_new)
+    x = st.x_hat[ks] + gain * innovation
+    out = _target(st, out)
+    out.P[ks, :] = rows
+    out.P[:, ks] = rows.T
+    out.x_hat[ks] = x
+    return out
+
+
+def _endpoint(st: NetworkFilterState, node: int,
+              elapsed: dict[int, float]) -> tuple[float, float, float]:
+    """Mean, variance and decay factor of one node's state, advanced by
+    its time in ``elapsed`` as :func:`net_predict_rows` advances it; the
+    reference reads as zeros."""
+    if node == 0:
+        return 0.0, 0.0, 1.0
+    k = node - 1
+    x, p = st.x_hat.item(k), st.P.item(k, k)
+    if node not in elapsed:
+        return x, p, 1.0
+    d, noise = _row_decay(st, node, elapsed[node])
+    return d * x, p * (d * d) + noise, d
 
 
 def link_moments(st: NetworkFilterState, i: int, j: int,
@@ -243,20 +287,16 @@ def link_moments(st: NetworkFilterState, i: int, j: int,
     same operations in the same order, so the values are bit for bit
     those of the predicted state.
     """
-    if not (0 <= i <= st.n and 0 <= j <= st.n):
-        raise ValueError(f"link ({i}, {j}) references nodes outside 0..{st.n}")
+    n = st.n
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError(f"link ({i}, {j}) references nodes outside 0..{n}")
     _check_nodes(st, elapsed)
     if i == j:
         return 0.0, 0.0
-    x, p, g = {0: 0.0}, {0: 0.0}, {0: 1.0}
-    for node in {i, j} - {0}:
-        k = node - 1
-        x[node], p[node], g[node] = st.x_hat[k], st.P[k, k], 1.0
-        if node in elapsed:
-            d, noise = _row_decay(st, node, elapsed[node])
-            x[node], p[node], g[node] = d * x[node], p[node] * (d * d) + noise, d
-    pij = 0.0 if 0 in (i, j) else st.P[i - 1, j - 1] * (g[i] * g[j])
-    return float(x[j] - x[i]), float(p[i] + p[j] - 2.0 * pij)
+    x_i, p_i, g_i = _endpoint(st, i, elapsed)
+    x_j, p_j, g_j = _endpoint(st, j, elapsed)
+    p_ij = 0.0 if i == 0 or j == 0 else st.P.item(i - 1, j - 1) * (g_i * g_j)
+    return x_j - x_i, p_i + p_j - 2.0 * p_ij
 
 
 def nodal_skew_estimate(p: ClockParams, mean: float, var: float, t: float) -> float:
@@ -277,4 +317,6 @@ def relative_skew_readout(
     drops the variance inflation so the two directions multiply to one.
     """
     a_ij, a_ji = relative_skew_estimate(rel, mean, var, t)
-    return float(a_ij), float(a_ji), float(np.sqrt(a_ij / a_ji))
+    # The estimates are numpy scalars, so an overflowing ratio still warns;
+    # a square root is correctly rounded, so math.sqrt equals np.sqrt.
+    return float(a_ij), float(a_ji), math.sqrt(a_ij / a_ji)

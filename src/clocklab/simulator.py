@@ -18,7 +18,10 @@ All estimator state advances on *local* time-stamp differences only —
 no protocol code ever reads reference time.  A filter readout is the
 two moments of one link (:func:`clocklab.network.link_moments`) put
 through a formula of :mod:`clocklab.network`; no code here reads the
-entries of a filter state.  Live runs and trace replay
+entries of a filter state.  Each filter owns its state and has
+:mod:`clocklab.network` update it in place (``out=``), so a packet
+costs O(n) in a filter over n nodes, with no copy of the covariance.
+Live runs and trace replay
 share one packet dispatcher, :meth:`ProtocolMachine.deliver`: the engine
 appends each arrival to the trace and delivers that row, replay delivers
 the recorded rows, so feeding the stamps back reproduces every estimate
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,6 +104,18 @@ _SCENARIO_KEYS = {
 }
 _DELAY_KEYS = {"delay.kind", "delay.mean", "delay.spread", "delay.bound"}
 
+# Largest stationary log-skew variance v = eps^2/(2 alpha) of a node whose
+# readouts stay finite.  The symmetrized readout of a link (i, j) forms
+# a_ij/a_ji = c_ij(t)^2 e^(2 mean): |log c_ij(t)| <= |v_j - v_i|/2, and the
+# estimate ``mean`` of x_j - x_i is taken to stay within _READOUT_DEVIATIONS
+# stationary deviations sqrt(v_i + v_j).  With every v <= V, the log of the
+# ratio is then at most V + 2 K sqrt(V) (once V > K^2), which must stay below
+# the log of the largest float.  Each directed estimate a_ij has a log of at
+# most V + K^2/2, so the ratio bounds both.
+_READOUT_DEVIATIONS = 6.0
+_MAX_STATE_VARIANCE = (math.sqrt(_READOUT_DEVIATIONS**2 + math.log(sys.float_info.max))
+                       - _READOUT_DEVIATIONS) ** 2
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -135,6 +151,12 @@ class Scenario:
             )
         if self.epsilons[0] != 0.0:
             raise ValueError("reference clock must have zero diffusion (epsilon_0 = 0)")
+        for m, p in enumerate(self.params):
+            if not p.stationary_state_variance < _MAX_STATE_VARIANCE:
+                raise ValueError(
+                    f"node {m} is too noisy: epsilon_{m}^2/(4 alpha) = "
+                    f"{p.stationary_state_variance / 2:.6g} must stay below "
+                    f"{_MAX_STATE_VARIANCE / 2:.6g}, or its relative-skew readouts overflow")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not self.horizon > 0:
@@ -358,8 +380,16 @@ def write_metrics_csv(report: MetricsReport, path) -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRow:
+    """One delivered packet: its stamps and, in a live run's trace, the
+    ground truth (true send time and delay) that replay does not read.
+
+    Treated as read-only.  It is not frozen: a frozen dataclass sets
+    each field through ``object.__setattr__``, which makes building a
+    row several times slower than with plain slots.
+    """
+
     kind: str
     src: int
     dst: int
@@ -370,43 +400,57 @@ class TraceRow:
     true_delay: float | None = None
 
 
+# A trace line with and without its ground truth.
+_TRACE_LINE = "%s,%s,%s,%s,%.17g,%.17g,%.17g,%.17g\n"
+_STAMPS_LINE = "%s,%s,%s,%s,%.17g,%.17g,,\n"
+
+
 def write_trace_csv(rows, path) -> None:
     """One row per delivered packet, in arrival-processing order."""
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for r in rows:
-            if r.true_send_t is not None:
-                tail = f"{r.true_send_t:.17g},{r.true_delay:.17g}"
-            else:
-                tail = ","
-            fh.write(f"{r.kind},{r.src},{r.dst},{r.seq},"
-                     f"{r.s_stamp:.17g},{r.r_stamp:.17g},{tail}\n")
+        fh.writelines(
+            _TRACE_LINE % (r.kind, r.src, r.dst, r.seq, r.s_stamp, r.r_stamp,
+                           r.true_send_t, r.true_delay)
+            if r.true_send_t is not None else
+            _STAMPS_LINE % (r.kind, r.src, r.dst, r.seq, r.s_stamp, r.r_stamp)
+            for r in rows
+        )
 
 
 def read_trace_csv(path) -> list[TraceRow]:
-    """Parse a trace; malformed lines raise with their line number."""
-    rows = []
+    """Parse a trace; malformed lines raise with their line number.
+
+    Blank lines and whitespace around a line or a number are ignored,
+    so CRLF files read as written.  The two ground-truth fields are
+    both numbers or both empty (read as None).
+    """
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
+        if fh.readline().strip() != TRACE_HEADER:
             raise ValueError(f"line 1: expected trace header {TRACE_HEADER!r}")
-        for ln, raw in enumerate(fh, 2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise ValueError(f"line {ln}: expected 8 fields, got {len(parts)}")
-            try:
-                rows.append(TraceRow(
-                    kind=parts[0], src=int(parts[1]), dst=int(parts[2]),
-                    seq=int(parts[3]), s_stamp=float(parts[4]),
-                    r_stamp=float(parts[5]),
-                    true_send_t=float(parts[6]) if parts[6] else None,
-                    true_delay=float(parts[7]) if parts[7] else None,
-                ))
-            except ValueError:
-                raise ValueError(f"line {ln}: malformed trace row {line!r}") from None
+        lines = fh.read().split("\n")
+    rows = []
+    try:
+        for ln, line in enumerate(lines, 2):
+            fields = line.split(",")
+            if len(fields) != 8:
+                if not line or line.isspace():
+                    continue
+                raise ValueError(f"line {ln}: expected 8 fields, got {len(fields)}")
+            kind, src, dst, seq, s, r, t, d = fields
+            d = d.rstrip()
+            if t and d:
+                t, d = float(t), float(d)
+            elif t or d:
+                raise ValueError("one ground-truth field is empty")
+            else:
+                t = d = None
+            rows.append(TraceRow(kind.lstrip(), int(src), int(dst), int(seq),
+                                 float(s), float(r), t, d))
+    except ValueError:
+        if line.count(",") != 7:
+            raise  # the field count
+        raise ValueError(f"line {ln}: malformed trace row {line.strip()!r}") from None
     return rows
 
 
@@ -423,7 +467,8 @@ class _Filter:
     advance by its own local time when it next takes part: the elapsed
     times go to :mod:`clocklab.network` keyed by the filter's numbering.
     Reads and updates take ``now``, the nodes to advance and their
-    local stamps.
+    local stamps.  The filter owns its state, and an update writes into
+    it (``out=``): the covariance is never copied.
     """
 
     def __init__(self, params, nodes) -> None:
@@ -445,8 +490,8 @@ class _Filter:
         """Advance the link's endpoints to their stamps in ``now``, then
         take the distributed update on ``m``."""
         (i, j), loc = m.link, self.loc
-        st = net_predict_rows(self.state, self._elapsed(now))
-        self.state = net_update_distributed(st, replace(m, link=(loc[i], loc[j])))
+        net_predict_rows(self.state, self._elapsed(now), out=self.state)
+        net_update_distributed(self.state, replace(m, link=(loc[i], loc[j])), out=self.state)
         for node, stamp in now.items():
             if node != 0:
                 self.last[node] = stamp
@@ -471,9 +516,11 @@ class ProtocolMachine:
         self.n = sc.graph.n
         self.params = sc.params
         self.protocol = sc.protocol
+        # each graph link under both of its orientations
+        self._edges = {pair: e for e in sc.graph.edges for pair in (e, e[::-1])}
         # relative-offset bookkeeping (identical for all protocols)
         self.rel_off = RelativeEstimates()
-        self.v_off = np.zeros(self.n + 1)
+        self.v_off = [0.0] * (self.n + 1)
         self.u_off = [0.0] * (self.n + 1)
         # prediction records and counters
         self.pred_pairs: dict[int, list[tuple[float, float]]] = {}
@@ -491,12 +538,12 @@ class ProtocolMachine:
             self.filters = {edge: _Filter(self.params, [m for m in edge if m != 0])
                             for edge in sc.graph.edges}
             self.rel_logskew = RelativeEstimates()
-            self.w_skew = np.zeros(self.n + 1)
+            self.w_skew = [0.0] * (self.n + 1)
             self.u_skew = [0.0] * (self.n + 1)
         else:  # SS
             self.ratios: dict[tuple[int, int], float] = {}
             self.rel_logskew = RelativeEstimates()
-            self.w_skew = np.zeros(self.n + 1)
+            self.w_skew = [0.0] * (self.n + 1)
 
     # --------------------------------------------------- packet dispatch
 
@@ -544,10 +591,10 @@ class ProtocolMachine:
     # ----------------------------------------------------------- helpers
 
     def _edge_of(self, a: int, b: int) -> tuple[int, int]:
-        for e in self.sc.graph.incident(a):
-            if e == (a, b) or e == (b, a):
-                return e
-        raise ValueError(f"no edge between {a} and {b}")
+        edge = self._edges.get((a, b))
+        if edge is None:
+            raise ValueError(f"no edge between {a} and {b}")
+        return edge
 
     def _filter(self, i: int, j: int) -> _Filter:
         """The filter holding nodes i and j: the network filter, or the

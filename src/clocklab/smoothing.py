@@ -103,16 +103,16 @@ class RelativeEstimates:
                 self.links.setdefault(node, []).append(link)
         self.values[link] = value
 
-    def relax(self, node: int, v: np.ndarray) -> None:
+    def relax(self, node: int, v) -> None:
         """Set ``v[node]`` to the relaxation of :func:`jacobi_step` over
-        the stored links.  Nodes with no stored link, and the reference,
-        keep their value."""
+        the stored links, ``v`` being an array or a list of node values.
+        Nodes with no stored link, and the reference, keep their value."""
         links = self.links.get(node)
         if node == 0 or not links:
             return
         v[node] = self._relaxed(node, v, links)
 
-    def _relaxed(self, node: int, v: np.ndarray, links) -> float:
+    def _relaxed(self, node: int, v, links) -> float:
         """Mean over ``links`` of the neighbour's value plus the link
         value oriented toward ``node`` (negated when stored away)."""
         total = 0.0

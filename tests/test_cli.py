@@ -282,6 +282,16 @@ def test_simulate_repeated_link_exits_two(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_simulate_too_noisy_clock_exits_two(tmp_path, capsys):
+    # epsilon_1^2/(4 alpha) = 227.052, just above the readouts' bound
+    bad = tmp_path / "noisy.scenario"
+    bad.write_text(FAST_SCENARIO.replace("epsilon_1 = 1.0", "epsilon_1 = 95.3"))
+    assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "node 1 is too noisy" in err and "must stay below 227.037" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_simulate_bad_seed_exits_two(fast_scenario, tmp_path, capsys):
     assert main(["simulate", str(fast_scenario), "--out", str(tmp_path),
                  "--seed", "pi"]) == 2

@@ -249,6 +249,58 @@ def test_distributed_matches_dense_joseph_form(n):
         np.testing.assert_array_equal(out.P, out.P.T)
 
 
+def random_state(rng, params):
+    """A state of ``params`` with a random mean and a random symmetric
+    positive-definite covariance."""
+    n = len(params) - 1
+    a = rng.normal(size=(n, n))
+    b = a @ a.T + 0.1 * np.eye(n)
+    return initial_network_state(params).__class__(
+        x_hat=rng.normal(size=n, scale=0.2), P=0.5 * (b + b.T), params=params)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 60])
+def test_in_place_operations_match_the_copying_calls(n):
+    # Three chains over one random sequence of predicts and updates: the
+    # copying calls, every result written into the input itself, and
+    # every result written into a spare state.  All agree bit for bit.
+    rng = np.random.default_rng(900 + n)
+    params = (REF,) + tuple(ClockParams(10.0, e) for e in rng.uniform(0.5, 1.5, n))
+    fresh = random_state(rng, params)
+    kept = fresh.__class__(x_hat=fresh.x_hat.copy(), P=fresh.P.copy(), params=params)
+    spare = initial_network_state(params)
+    for _ in range(120):
+        if rng.uniform() < 0.5:
+            nodes = rng.choice(np.arange(1, n + 1), size=min(n, int(rng.integers(1, 4))),
+                               replace=False)
+            elapsed = {int(k): float(rng.uniform(0.0, 0.05)) for k in nodes}
+            assert net_predict_rows(kept, elapsed, out=kept) is kept
+            assert net_predict_rows(fresh, elapsed, out=spare) is spare
+            fresh = net_predict_rows(fresh, elapsed)
+        else:
+            i, j = (int(k) for k in rng.choice(n + 1, size=2, replace=False))
+            m = meas((i, j), y=rng.normal(scale=0.3), sigma2=rng.uniform(1e-4, 1e-2))
+            assert net_update_distributed(kept, m, out=kept) is kept
+            assert net_update_distributed(fresh, m, out=spare) is spare
+            fresh = net_update_distributed(fresh, m)
+        for st in (kept, spare):
+            assert [v.hex() for v in st.x_hat] == [v.hex() for v in fresh.x_hat]
+            assert [v.hex() for v in st.P.ravel()] == [v.hex() for v in fresh.P.ravel()]
+
+
+def test_calls_without_a_target_leave_their_input_untouched():
+    st = random_state(np.random.default_rng(31), P4)
+    x0, p0 = st.x_hat.copy(), st.P.copy()
+    for out in (net_predict_rows(st, {1: 0.03, 3: 0.01}),
+                net_update_distributed(st, meas((1, 2), y=0.4, sigma2=0.01)),
+                net_update_distributed(st, meas((3, 0), y=-0.2, sigma2=0.02))):
+        assert not np.shares_memory(out.P, st.P)
+        assert not np.shares_memory(out.x_hat, st.x_hat)
+        assert out.P.tobytes() != p0.tobytes()
+    assert st.x_hat.tobytes() == x0.tobytes()
+    assert st.P.tobytes() == p0.tobytes()
+
+
 def test_two_hop_covariance_fill_in():
     # Path 0-1-2-3: a measurement on (1,2) leaves P_13 untouched, the
     # follow-up on (2,3) propagates correlation to the (1,3) entry.

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clocklab.simulator as simulator
 from conftest import traced_peak
 from clocklab.clocks import simulate_clock
 from clocklab.measurement import DELAY_KINDS, DelayModel, StampRecord, offset_delay_estimate
@@ -36,6 +39,7 @@ from clocklab.simulator import (
     write_metrics_csv,
     write_trace_csv,
     _CHUNK_STEPS,
+    _MAX_STATE_VARIANCE,
 )
 from clocklab.smoothing import RelativeEstimates, SyncGraph, jacobi_step
 
@@ -83,6 +87,33 @@ def test_scenario_validation():
     with pytest.raises(ValueError, match="graph is not connected"):
         two_node(graph=SyncGraph(n=3, edges=((0, 1), (2, 3))),
                  epsilons=(0.0, 1.0, 1.0, 1.0))
+
+
+def noisy_two_node(alpha, q, **kw):
+    """A two-node scenario whose clock has epsilon^2/(4 alpha) = q."""
+    return two_node(alpha=alpha, epsilons=(0.0, math.sqrt(4.0 * alpha * q)),
+                    delay=DelayModel(kind="constant", mean=1e-3), horizon=1.0,
+                    skew_rate=20.0, offset_rate=20.0, skew_gap=10, **kw)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 100.0, 1000.0])
+def test_scenario_rejects_clocks_whose_readouts_overflow(tmp_path, alpha):
+    # The symmetrized readout forms c_ij^2 e^(2 mean); the bound leaves six
+    # stationary deviations of the mean below the largest float.
+    limit = _MAX_STATE_VARIANCE / 2
+    k, log_max = 6.0, math.log(sys.float_info.max)
+    assert limit == pytest.approx((math.sqrt(k * k + log_max) - k) ** 2 / 2, rel=1e-15)
+    with pytest.raises(ValueError, match=r"node 1 is too noisy: epsilon_1\^2/\(4 alpha\) = "
+                                         r"227\.06 must stay below 227\.037"):
+        noisy_two_node(alpha, 1.0001 * limit)
+    for seed in range(3):
+        for proto in PROTOCOLS:
+            sc = noisy_two_node(alpha, 0.9999 * limit, seed=seed, protocol=proto)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                live, trace = run_scenario(sc)
+                assert_replay_exact(live, trace, sc, tmp_path / "trace.csv")
+            assert any(row.kind == "skew-b" for row in trace)
 
 
 @pytest.mark.parametrize("edges, link", [
@@ -316,6 +347,39 @@ def test_trace_csv_errors(tmp_path):
         read_trace_csv(path)
 
 
+def test_read_trace_csv_tolerates_loose_layout(tmp_path):
+    # CRLF line ends, blank and whitespace-only lines, spaces around the
+    # line and its fields, an empty ground-truth pair, no final newline
+    path = tmp_path / "loose.csv"
+    path.write_bytes((
+        TRACE_HEADER + " \r\n"
+        "\r\n"
+        "  skew-a, 0 ,1, 3 ,0.25, 0.5 ,0.125, 0.0625  \r\n"
+        "   \t \r\n"
+        "off-ack,1,0,4,1.5,2.5,,\r\n"
+        "\n"
+        "skew-b,0,1,3,0.75,1.0,, "
+    ).encode())
+    assert read_trace_csv(path) == [
+        TraceRow("skew-a", 0, 1, 3, 0.25, 0.5, true_send_t=0.125, true_delay=0.0625),
+        TraceRow("off-ack", 1, 0, 4, 1.5, 2.5),
+        TraceRow("skew-b", 0, 1, 3, 0.75, 1.0),
+    ]
+    path.write_text(TRACE_HEADER + "\noff-ack,1,0,4,1.5,2.5\n")
+    with pytest.raises(ValueError, match="line 2: expected 8 fields, got 6"):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("tail", ["0.5,", ",0.5", "0.5, ", " ,0.5", "0.5,x"])
+def test_read_trace_csv_rejects_half_a_ground_truth_pair(tmp_path, tail):
+    path = tmp_path / "half.csv"
+    path.write_text(TRACE_HEADER + "\nskew-a,0,1,1,0.5,0.6,,\n"
+                    f"skew-a,0,1,1,0.5,0.6,{tail}\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 3: malformed trace row {f'skew-a,0,1,1,0.5,0.6,{tail}'.strip()!r}")):
+        read_trace_csv(path)
+
+
 def test_quantize_stamp():
     q = quantize_stamp(math.pi)
     assert q == float(f"{math.pi:.12g}")
@@ -469,6 +533,36 @@ def test_hybrid_link_filter_is_the_network_filter_on_its_endpoints():
         want = net.relative_skew(i, j, now_i, now_j)
         got = hyb.relative_skew(i, j, now_i, now_j)
         assert [a.hex() for a in got] == [a.hex() for a in want]
+
+
+def test_mbcsp_run_updates_one_covariance_buffer(monkeypatch):
+    machines = []
+
+    class Recorded(ProtocolMachine):
+        def __init__(self, sc):
+            super().__init__(sc)
+            machines.append((self, self.network.state.P))
+
+    monkeypatch.setattr(simulator, "ProtocolMachine", Recorded)
+    sc = Scenario(graph=LINE4, alpha=10.0, epsilons=(0.0, 1.0, 0.6, 1.4), delay=DELAY,
+                  horizon=2.0, skew_rate=5.0, protocol="MBCSP", seed=2)
+    run_scenario(sc)
+    (machine, start), = machines
+    assert np.shares_memory(machine.network.state.P, start)
+    assert np.count_nonzero(start) == 9  # updated, and correlated across the line
+
+
+def test_mbcsp_replay_allocates_no_covariance_copy():
+    # Replaying a 200-node line adds less than one P to the traced peak:
+    # the network filter updates its state in place.
+    base = read_scenario(SCENARIOS / "ten-node-line.scenario")
+    n = 199
+    sc = replace(base, graph=SyncGraph(n=n, edges=[(i, i + 1) for i in range(n)]),
+                 epsilons=(0.0,) + (1.0,) * n, horizon=0.2, protocol="MBCSP")
+    _, trace = run_scenario(sc)
+    machine = ProtocolMachine(sc)
+    assert traced_peak(lambda: [machine.deliver(row) for row in trace]) < 200 * 200 * 8
+    assert np.count_nonzero(machine.network.state.P) > n
 
 
 def test_link_values_relax_like_jacobi_step():
