@@ -47,7 +47,6 @@ __all__ = [
     "allan_variance_analytic",
     "allan_variance_empirical",
     "fit_params_from_allan",
-    "write_trajectory_csv",
     "read_trajectory_csv",
 ]
 
@@ -169,11 +168,6 @@ class ClockTrajectory:
     skews: np.ndarray
     displays: np.ndarray
     seed: int
-
-    @property
-    def times(self) -> np.ndarray:
-        """Reference-time grid points."""
-        return np.arange(len(self.states)) * self.dt
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +372,11 @@ def sample_displays(p: ClockParams, spacing: float, count: int, dt: float, seed:
                     chunk_steps: int = 65_536) -> np.ndarray:
     """Display values tau(0), tau(spacing), ..., tau(count*spacing).
 
-    Walks the path of :func:`simulate_clock` in chunks of
-    ``chunk_steps`` grid points, so that long horizons (used by
-    empirical Allan-variance estimation) never materialize the full
-    path.  ``spacing`` must be an integer multiple of ``dt``.
+    Streams the path through :func:`clock_chunks`, ``chunk_steps``
+    grid points at a time (the path that :func:`simulate_clock` returns
+    whole for the same seed), so that long horizons (used by empirical
+    Allan-variance estimation) never materialize the full path.
+    ``spacing`` must be an integer multiple of ``dt``.
 
     The default chunk of 65 536 points makes each of the three live
     chunk arrays 512 KB, small enough to stay in cache: 10 000 windows
@@ -614,15 +609,9 @@ def fit_params_from_allan(points, n_starts: int = 8, seed: int = 0) -> ClockPara
 # CSV interfaces
 # ---------------------------------------------------------------------------
 
-def write_trajectory_csv(traj: ClockTrajectory, path) -> None:
-    """Write a trajectory as CSV with header ``t,x,skew,display``."""
-    data = np.column_stack([traj.times, traj.states, traj.skews, traj.displays])
-    np.savetxt(path, data, delimiter=",", header="t,x,skew,display",
-               comments="", fmt="%.17g")
-
-
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into arrays keyed by column name."""
+    """Read a trajectory CSV with header ``t,x,skew,display`` into
+    arrays keyed by column name."""
     with open(path, newline="") as fh:
         header = next(csv.reader(fh))
     if [c.strip() for c in header] != ["t", "x", "skew", "display"]:

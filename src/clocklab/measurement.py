@@ -23,7 +23,6 @@ from clocklab.clocks import RelParams
 
 __all__ = [
     "DelayModel",
-    "StampRecord",
     "Measurement",
     "draw_delay",
     "noise_variance",
@@ -34,6 +33,17 @@ __all__ = [
 ]
 
 DELAY_KINDS = ("constant", "uniform", "truncated-normal")
+# Largest time value of a scenario (a delay field, the grid step, the
+# horizon); the grid step is also at least 1/MAX_TIME.  The delay variance
+# squares the delay fields and the noise variance divides by a squared
+# stamp separation, so each square stays a nonzero finite float.  A
+# truncation point lies within MAX_TIME spreads of the mean for the same
+# reason.
+MAX_TIME = 2.0**500
+# Narrowest truncated-normal support (0, bound], in spreads, on which
+# scipy's truncnorm keeps its variance within a relative 1e-5 of the uniform
+# one that the distribution then is; at 2e-5 spreads it is off by 40 %.
+_MIN_TRUNCATED_WIDTH = 1e-3
 
 
 @dataclass(frozen=True)
@@ -67,10 +77,10 @@ class DelayModel:
     def __post_init__(self) -> None:
         if self.kind not in DELAY_KINDS:
             raise ValueError(f"unknown delay kind {self.kind!r}")
-        if not self.mean > 0:
-            raise ValueError(f"mean delay must be positive, got {self.mean!r}")
-        if self.spread < 0:
-            raise ValueError(f"spread must be nonnegative, got {self.spread!r}")
+        if not 0 < self.mean < MAX_TIME:
+            raise ValueError(f"mean delay must be positive and below 2^500, got {self.mean!r}")
+        if not 0 <= self.spread < MAX_TIME:
+            raise ValueError(f"spread must be nonnegative and below 2^500, got {self.spread!r}")
         if self.kind == "uniform" and self.spread > self.mean:
             raise ValueError("uniform spread may not exceed the mean (delays must stay positive)")
         if self.kind == "truncated-normal" and self.spread == 0:
@@ -83,8 +93,16 @@ class DelayModel:
             else:
                 derived = self.mean + 4.0 * self.spread
             object.__setattr__(self, "bound", derived)
-        if self.bound < self.mean:
-            raise ValueError("bound must not be below the mean delay")
+        if not self.mean <= self.bound < MAX_TIME:
+            raise ValueError(f"bound must be at least the mean delay and below 2^500, "
+                             f"got {self.bound!r}")
+        if self.kind == "truncated-normal":
+            if not max(self.mean, self.bound - self.mean) < self.spread * MAX_TIME:
+                raise ValueError("truncated-normal delays must be cut within 2^500 "
+                                 "spreads of the mean")
+            if not self.bound >= _MIN_TRUNCATED_WIDTH * self.spread:
+                raise ValueError(f"truncated-normal bound must be at least "
+                                 f"{_MIN_TRUNCATED_WIDTH:g} spreads, got {self.bound!r}")
 
     @cached_property
     def variance(self) -> float:
@@ -110,28 +128,6 @@ def draw_delay(m: DelayModel, rng: np.random.Generator, size: int | None = None)
     b = (m.bound - m.mean) / m.spread
     out = truncnorm.rvs(a, b, loc=m.mean, scale=m.spread, size=size, random_state=rng)
     return float(out) if size is None else out
-
-
-@dataclass(frozen=True)
-class StampRecord:
-    """The four time-stamps of one two-packet exchange on a link (i, j).
-
-    In a skew pair (:func:`skew_measurement`), node i sends both
-    packets: ``s`` holds the two send stamps (i's clock) and ``r`` the
-    two receive stamps (j's clock).  In a roundtrip
-    (:func:`offset_delay_estimate`), the first pair is the forward leg
-    i->j (sent at ``s[0]`` by i, received at ``r[0]`` by j) and the
-    second the reverse leg j->i (sent at ``s[1]`` by j, received at
-    ``r[1]`` by i).
-    """
-
-    link: tuple[int, int]
-    s: tuple[float, float]
-    r: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.s) != 2 or len(self.r) != 2:
-            raise ValueError("a stamp record holds exactly two (send, receive) pairs")
 
 
 @dataclass(frozen=True)
@@ -164,8 +160,9 @@ def noise_variance(delta_s: float, m: DelayModel, floor: float) -> float:
     return floor + 2.0 * m.variance / delta_s**2
 
 
-def skew_measurement(rec: StampRecord, rel: RelParams, t_k: float,
-                     delay_model: DelayModel, floor: float) -> Measurement:
+def skew_measurement(link: tuple[int, int], s0: float, r0: float, s1: float, r1: float,
+                     rel: RelParams, t_k: float, delay_model: DelayModel,
+                     floor: float) -> Measurement:
     """Relative log-skew measurement from a two-packet exchange.
 
     Computes ``log |(r1 - r0) / (s1 - s0)| - log c_ij(t_k)``: the raw
@@ -178,8 +175,12 @@ def skew_measurement(rec: StampRecord, rel: RelParams, t_k: float,
 
     Parameters
     ----------
-    rec : StampRecord
-        A skew pair on the link (i, j); node i sent both packets.
+    link : tuple of int
+        The link (i, j) the measurement is labelled with; node i sent
+        both packets.
+    s0, r0, s1, r1 : float
+        Send stamp (i's clock) and receive stamp (j's clock) of the
+        first packet, then of the second.
     rel : RelParams
         The link's relative clock, i the sender and j the receiver.
     t_k : float
@@ -197,36 +198,37 @@ def skew_measurement(rec: StampRecord, rel: RelParams, t_k: float,
         ``"non-increasing send stamps"`` if s1 <= s0;
         ``"degenerate receive stamps"`` if r1 == r0.
     """
-    s0, s1 = rec.s
-    r0, r1 = rec.r
     if s1 <= s0:
         raise ValueError(f"non-increasing send stamps: {s0!r} -> {s1!r}")
     if r1 == r0:
         raise ValueError(f"degenerate receive stamps: both {r0!r}")
     y = math.log(abs((r1 - r0) / (s1 - s0))) - math.log(rel.c_ij(t_k))
     sigma2 = noise_variance(s1 - s0, delay_model, floor)
-    return Measurement(link=rec.link, y=y, sigma2=sigma2)
+    return Measurement(link=link, y=y, sigma2=sigma2)
 
 
-def measurement_epoch(rec: StampRecord) -> float:
+def measurement_epoch(sender: int, s0: float, r1: float) -> float:
     """Epoch at which a skew-pair measurement applies.
 
     The reference node's displays are exact reference time, so when it
-    is the sender the first send stamp is used; otherwise the closing
-    receive stamp serves as the receiver-clock proxy.
+    is the ``sender`` the first send stamp ``s0`` is used; otherwise
+    the closing receive stamp ``r1`` serves as the receiver-clock proxy.
     """
-    return rec.s[0] if rec.link[0] == 0 else rec.r[1]
+    return s0 if sender == 0 else r1
 
 
-def offset_delay_estimate(rec: StampRecord, a_ij_hat: float,
-                          a_ji_hat: float) -> tuple[float, float, float]:
+def offset_delay_estimate(s_i: float, r_ij: float, s_j: float, r_ji: float,
+                          a_ij_hat: float, a_ji_hat: float) -> tuple[float, float, float]:
     """Offset and per-direction delay estimates from one roundtrip.
 
     Parameters
     ----------
-    rec : StampRecord
-        A roundtrip: the forward leg (s_i, r_ij) and the reverse leg
-        (s_j, r_ji).
+    s_i, r_ij : float
+        The forward leg i->j: sent at ``s_i`` by i (i's clock),
+        received at ``r_ij`` by j (j's clock).
+    s_j, r_ji : float
+        The reverse leg j->i: sent at ``s_j`` by j, received at
+        ``r_ji`` by i.
     a_ij_hat, a_ji_hat : float
         Current relative-skew estimates for the two directions.
 
@@ -249,8 +251,6 @@ def offset_delay_estimate(rec: StampRecord, a_ij_hat: float,
         raise ValueError(
             f"invalid skew estimate: a_ij={a_ij_hat!r}, a_ji={a_ji_hat!r}"
         )
-    s_i, s_j = rec.s
-    r_ij, r_ji = rec.r
     raw = (r_ji - s_j) + (r_ij - s_i) + (s_j - r_ij) * (1.0 - a_ji_hat)
     d_ji_hat = max(0.0, raw / (2.0 * a_ji_hat))
     d_ij_hat = a_ij_hat * d_ji_hat

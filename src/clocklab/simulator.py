@@ -39,9 +39,9 @@ import numpy as np
 
 from clocklab.clocks import ClockParams, RelParams, clock_chunks
 from clocklab.measurement import (
+    MAX_TIME,
     DelayModel,
     Measurement,
-    StampRecord,
     draw_delay,
     measurement_epoch,
     offset_delay_estimate,
@@ -157,10 +157,15 @@ class Scenario:
                     f"node {m} is too noisy: epsilon_{m}^2/(4 alpha) = "
                     f"{p.stationary_state_variance / 2:.6g} must stay below "
                     f"{_MAX_STATE_VARIANCE / 2:.6g}, or its relative-skew readouts overflow")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if not 1 / MAX_TIME <= self.dt <= MAX_TIME:
+            raise ValueError(f"dt must be within 2^-500..2^500, got {self.dt!r}")
+        if not 0 < self.horizon <= MAX_TIME:
+            raise ValueError(f"horizon must be positive and at most 2^500, got {self.horizon!r}")
+        if not self.horizon / self.dt < 2**53:
+            raise ValueError(f"horizon/dt = {self.horizon / self.dt!r} grid steps: it must "
+                             "stay below 2^53, an exact slot count")
+        if not 0 < self.noise_floor < math.inf:
+            raise ValueError(f"noise_floor must be positive and finite, got {self.noise_floor!r}")
         if not (self.skew_rate > 0 and self.offset_rate > 0):
             raise ValueError("exchange rates must be positive")
         links = set()
@@ -181,6 +186,9 @@ class Scenario:
         for name, rate in (("skew_rate", self.skew_rate), ("offset_rate", self.offset_rate)):
             if rate * n_dir * self.dt >= 0.5:
                 raise ValueError(f"{name} too high for the grid step")
+            if not rate * n_dir * self.dt > 0:
+                raise ValueError(f"{name} too low for the grid step: the chance "
+                                 f"of an exchange per slot rounds to 0")
 
     @property
     def params(self) -> tuple[ClockParams, ...]:
@@ -248,15 +256,15 @@ def read_scenario(path) -> Scenario:
     n_total = int(values.pop("nodes"))
     if n_total < 2:
         raise ValueError("need at least two nodes (reference plus one)")
-    graph = SyncGraph(n=n_total - 1, edges=values.pop("edges"))
-    eps = [0.0] * n_total
-    for i, e in epsilons.items():
+    # The epsilons are checked against nodes before anything of size nodes is built.
+    for i in epsilons:
         if not 0 <= i < n_total:
             raise ValueError(f"epsilon_{i} references a node outside 0..{n_total - 1}")
-        eps[i] = e
-    missing = [i for i in range(1, n_total) if i not in epsilons]
-    if missing:
-        raise ValueError(f"missing required scenario key 'epsilon_{missing[0]}'")
+    missing = next((i for i in range(1, n_total) if i not in epsilons), None)
+    if missing is not None:
+        raise ValueError(f"missing required scenario key 'epsilon_{missing}'")
+    graph = SyncGraph(n=n_total - 1, edges=values.pop("edges"))
+    eps = [epsilons.get(i, 0.0) for i in range(n_total)]
     delay = DelayModel(
         kind=str(values.pop("delay.kind")),
         mean=float(values.pop("delay.mean")),
@@ -488,10 +496,10 @@ class _Filter:
 
     def update(self, m: Measurement, now: dict[int, float]) -> None:
         """Advance the link's endpoints to their stamps in ``now``, then
-        take the distributed update on ``m``."""
-        (i, j), loc = m.link, self.loc
+        take the distributed update on ``m``, whose link is in the
+        filter's numbering (``loc``)."""
         net_predict_rows(self.state, self._elapsed(now), out=self.state)
-        net_update_distributed(self.state, replace(m, link=(loc[i], loc[j])), out=self.state)
+        net_update_distributed(self.state, m, out=self.state)
         for node, stamp in now.items():
             if node != 0:
                 self.last[node] = stamp
@@ -643,7 +651,6 @@ class ProtocolMachine:
         if r1 == r0 or s1 == s0:
             return  # no send or receive interval to measure
 
-        rec = StampRecord(link=key, s=(s0, s1), r=(r0, r1))
         if self.protocol == "SS":
             ratio = abs((r1 - r0) / (s1 - s0))
             prev = self.ratios.get(key)
@@ -652,15 +659,17 @@ class ProtocolMachine:
             self.rel_logskew.store(key, math.log(self.ratios[key]))
             self.rel_logskew.relax(rcv, self.w_skew)
             return
+        f = self._filter(snd, rcv)
         rel = RelParams(self.sc.alpha, self.params[snd].epsilon, self.params[rcv].epsilon)
-        m = skew_measurement(rec, rel, t_k=measurement_epoch(rec),
+        m = skew_measurement((f.loc[snd], f.loc[rcv]), s0, r0, s1, r1, rel,
+                             t_k=measurement_epoch(snd, s0, r1),
                              delay_model=self.sc.delay, floor=self.sc.noise_floor)
-        self._filter(snd, rcv).update(m, {snd: s1, rcv: r1})
+        f.update(m, {snd: s1, rcv: r1})
         if self.protocol != "Hybrid":
             return
         # Hybrid: spatial smoothing of the link estimates into nodal log-skews
         edge = self._edge_of(snd, rcv)
-        self.rel_logskew.store(edge, self.filters[edge].moments(*edge, {})[0])
+        self.rel_logskew.store(edge, f.moments(*edge, {})[0])
         for node, stamp in ((snd, s1), (rcv, r1)):
             if node != 0:
                 self.rel_logskew.relax(node, self.w_skew)
@@ -688,8 +697,7 @@ class ProtocolMachine:
         if a_ij is None:
             return None
         a_ji = own if own is not None else 1.0 / a_ij
-        rec = StampRecord(link=(i, j), s=(s_i, s_j), r=(r_ij, r_ji))
-        tau_ij, _, _ = offset_delay_estimate(rec, a_ij, a_ji)
+        tau_ij, _, _ = offset_delay_estimate(s_i, r_ij, s_j, r_ji, a_ij, a_ji)
         self.rel_off.store((i, j), tau_ij)
         self.rel_off.relax(i, self.v_off)
         if i != 0:

@@ -56,12 +56,13 @@ class SyncGraph:
                 raise ValueError(f"self-loop ({i}, {j}) not allowed")
             if not (0 <= i <= self.n and 0 <= j <= self.n):
                 raise ValueError(f"edge ({i}, {j}) references nodes outside 0..{self.n}")
-        # Each node's edges in graph order; not a field, so eq, hash and
-        # repr see only n and edges, and dataclasses.replace rebuilds it.
-        incident: dict[int, list[tuple[int, int]]] = {k: [] for k in range(self.n + 1)}
+        # The edges of each node that has any, in graph order: O(edges)
+        # whatever n is.  Not a field, so eq, hash and repr see only n and
+        # edges, and dataclasses.replace rebuilds it.
+        incident: dict[int, list[tuple[int, int]]] = {}
         for e in self.edges:
-            incident[e[0]].append(e)
-            incident[e[1]].append(e)
+            incident.setdefault(e[0], []).append(e)
+            incident.setdefault(e[1], []).append(e)
         object.__setattr__(self, "_incident", {k: tuple(v) for k, v in incident.items()})
 
     def incident(self, node: int) -> tuple[tuple[int, int], ...]:
@@ -73,7 +74,7 @@ class SyncGraph:
         frontier = [0]
         while frontier:
             u = frontier.pop()
-            for (i, j) in self._incident[u]:
+            for (i, j) in self.incident(u):
                 w = j if i == u else i
                 if w not in seen:
                     seen.add(w)

@@ -52,6 +52,14 @@ def var_se(samples) -> float:
     return float(samples.var(ddof=1) * np.sqrt(2.0 / (len(samples) - 1)))
 
 
+def save_trajectory(traj, path) -> None:
+    """Write a clock path as the ``t,x,skew,display`` CSV that
+    ``clocklab allan --trajectory`` reads."""
+    t = np.arange(len(traj.states)) * traj.dt
+    np.savetxt(path, np.column_stack([t, traj.states, traj.skews, traj.displays]),
+               delimiter=",", header="t,x,skew,display", comments="", fmt="%.17g")
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that ``tracemalloc`` traces while ``fn()`` runs."""
     tracemalloc.start()

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import clocklab
-from clocklab.clocks import ClockParams, allan_variance_analytic
+from conftest import save_trajectory, traced_peak
+from clocklab.clocks import ClockParams, allan_variance_analytic, simulate_clock
+from clocklab.simulator import read_scenario
+from clocklab.smoothing import SyncGraph
 from clocklab.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -292,6 +295,50 @@ def test_simulate_too_noisy_clock_exits_two(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+# The shipped five-node ring at horizon 0.5, one `key = value` per line.
+RING = {"nodes": "5", "edges": "0-1, 1-2, 2-3, 3-4, 4-0", "alpha": "10.0",
+        **{f"epsilon_{m}": "1.0" for m in range(1, 5)}, "horizon": "0.5",
+        "delay.kind": "uniform", "delay.mean": "5e-3", "delay.spread": "5e-5"}
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"horizon": "inf"}, "horizon"),
+    ({"dt": "1e-320"}, "dt"),
+    ({"noise_floor": "-1"}, "noise_floor"),
+    ({"noise_floor": "nan"}, "noise_floor"),
+    ({"noise_floor": "inf"}, "noise_floor"),
+    ({"noise_floor": "0", "delay.kind": "constant"}, "noise_floor"),
+    ({"delay.mean": "inf"}, "mean delay"),
+    ({"delay.mean": "1e308", "delay.kind": "constant"}, "mean delay"),
+    ({"delay.bound": "nan"}, "bound"),
+])
+def test_simulate_rejects_values_it_cannot_run(tmp_path, capsys, changes, field):
+    # Each of these once passed validation and then failed inside the run.
+    bad = tmp_path / "bad.scenario"
+    bad.write_text("".join(f"{k} = {v}\n" for k, v in {**RING, **changes}.items()))
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_node_count_is_rejected_in_little_memory(tmp_path, capsys):
+    # A million nodes first: code that is linear in the node count fails
+    # there, in a few hundred MB, before it meets 300 million.
+    for nodes in (10**6, 300_000_000):
+        bad = tmp_path / f"n{nodes}.scenario"
+        bad.write_text("".join(f"{k} = {v}\n" for k, v in {**RING, "nodes": nodes}.items()))
+
+        def reject():
+            with pytest.raises(ValueError, match="missing required scenario key 'epsilon_5'"):
+                read_scenario(bad)
+
+        assert traced_peak(reject) < 2**20
+        assert traced_peak(lambda: SyncGraph(n=nodes, edges=((0, 1),))) < 2**20
+    assert traced_peak(lambda: SyncGraph(n=10**9, edges=((0, 1),))) < 2**20
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "epsilon_5" in capsys.readouterr().err
+
+
 def test_simulate_bad_seed_exits_two(fast_scenario, tmp_path, capsys):
     assert main(["simulate", str(fast_scenario), "--out", str(tmp_path),
                  "--seed", "pi"]) == 2
@@ -326,10 +373,9 @@ def test_allan_analytic_tracks_empirical(capsys):
 
 
 def test_allan_from_trajectory(tmp_path, capsys):
-    from clocklab.clocks import simulate_clock, write_trajectory_csv
     traj = simulate_clock(ClockParams(10.0, 1.0), horizon=50.0, dt=1e-2, seed=5)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
+    save_trajectory(traj, path)
     assert main(["allan", "--intervals", "0.1", "--trajectory", str(path)]) == 0
     line = capsys.readouterr().out.splitlines()[1]
     _, analytic, empirical = (float(v) for v in line.split(","))
@@ -341,10 +387,9 @@ def test_allan_argument_errors(tmp_path, capsys):
     assert main(["allan", "--intervals", "0.1"]) == 2
     assert main(["allan", "--intervals", "0.1", "--alpha", "10"]) == 2
     assert main(["allan", "--intervals", "", "--alpha", "10", "--epsilon", "1"]) == 2
-    from clocklab.clocks import simulate_clock, write_trajectory_csv
     traj = simulate_clock(ClockParams(10.0, 1.0), horizon=1.0, dt=1e-2, seed=5)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
+    save_trajectory(traj, path)
     assert main(["allan", "--intervals", "0.015", "--trajectory", str(path)]) == 2
     assert "not a multiple" in capsys.readouterr().err
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import batch_paths, sem, traced_peak, var_se
+from conftest import batch_paths, save_trajectory, sem, traced_peak, var_se
 from clocklab import clocks
 from clocklab.clocks import (
     AllanPoint,
@@ -36,7 +36,6 @@ from clocklab.clocks import (
     skew_autocorrelation,
     skew_moments,
     skew_normalizer,
-    write_trajectory_csv,
 )
 
 P10_1 = ClockParams(alpha=10.0, epsilon=1.0)
@@ -623,7 +622,7 @@ def test_skew_excursions_over_long_horizon():
 def test_trajectory_csv_roundtrip(tmp_path):
     traj = simulate_clock(P10_1, horizon=0.02, dt=0.001, seed=8)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
+    save_trajectory(traj, path)
     assert path.read_text().splitlines()[0] == "t,x,skew,display"
     back = read_trajectory_csv(path)
     np.testing.assert_allclose(back["x"], traj.states, rtol=1e-15)

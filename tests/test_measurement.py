@@ -13,7 +13,6 @@ from clocklab.clocks import ClockParams, RelParams, simulate_clock
 from clocklab.measurement import (
     DelayModel,
     Measurement,
-    StampRecord,
     draw_delay,
     measurement_epoch,
     noise_variance,
@@ -114,8 +113,7 @@ def test_noise_variance_decreasing(ds, factor):
 # ---------------------------------------------------------------------------
 
 def test_skew_measurement_identical_clocks():
-    rec = StampRecord(link=(1, 2), s=(1.0, 1.4), r=(1.0, 1.4))
-    meas = skew_measurement(rec, REL11, 1.4, CONSTANT, FLOOR)
+    meas = skew_measurement((1, 2), 1.0, 1.0, 1.4, 1.4, REL11, 1.4, CONSTANT, FLOOR)
     assert meas.y == 0.0
     assert meas.sigma2 == 1e-6
     assert meas.link == (1, 2)
@@ -130,24 +128,21 @@ def test_skew_measurement_identical_clocks():
 def test_skew_measurement_equal_eps_no_correction(ratio, t_k, eps):
     # Equal diffusion coefficients: the normalizer correction vanishes
     # for every epoch, so y is exactly the raw log-ratio.
-    rec = StampRecord(link=(1, 2), s=(2.0, 2.5), r=(3.0, 3.0 + 0.5 * ratio))
-    meas = skew_measurement(rec, RelParams(10.0, eps, eps), t_k, CONSTANT, FLOOR)
+    meas = skew_measurement((1, 2), 2.0, 3.0, 2.5, 3.0 + 0.5 * ratio,
+                            RelParams(10.0, eps, eps), t_k, CONSTANT, FLOOR)
     assert meas.y == pytest.approx(math.log(ratio), abs=1e-12)
 
 
 def test_skew_measurement_out_of_order_receipt():
-    rec = StampRecord(link=(1, 2), s=(2.0, 2.5), r=(3.0, 2.9))
-    meas = skew_measurement(rec, REL11, 0.0, CONSTANT, FLOOR)
+    meas = skew_measurement((1, 2), 2.0, 3.0, 2.5, 2.9, REL11, 0.0, CONSTANT, FLOOR)
     assert meas.y == pytest.approx(math.log(0.1 / 0.5), abs=1e-12)
 
 
 def test_skew_measurement_errors():
     with pytest.raises(ValueError, match="non-increasing send stamps"):
-        skew_measurement(StampRecord(link=(1, 2), s=(2.0, 2.0), r=(3.0, 3.1)),
-                         REL11, 0.0, CONSTANT, FLOOR)
+        skew_measurement((1, 2), 2.0, 3.0, 2.0, 3.1, REL11, 0.0, CONSTANT, FLOOR)
     with pytest.raises(ValueError, match="degenerate receive stamps"):
-        skew_measurement(StampRecord(link=(1, 2), s=(2.0, 2.4), r=(3.0, 3.0)),
-                         REL11, 0.0, CONSTANT, FLOOR)
+        skew_measurement((1, 2), 2.0, 3.0, 2.4, 3.0, REL11, 0.0, CONSTANT, FLOOR)
 
 
 def _exchange_ys(pi, pj, n_exchanges, gap_steps, pair_steps, delay_steps,
@@ -170,8 +165,8 @@ def _exchange_ys(pi, pj, n_exchanges, gap_steps, pair_steps, delay_steps,
     rel = RelParams(pi.alpha, pi.epsilon, pj.epsilon)
     ys = np.empty(n_exchanges)
     for k in range(n_exchanges):
-        rec = StampRecord(link=(1, 2), s=(s0[k], s1[k]), r=(r0[k], r1[k]))
-        ys[k] = skew_measurement(rec, rel, k0[k] * dt, CONSTANT, FLOOR).y
+        ys[k] = skew_measurement((1, 2), s0[k], r0[k], s1[k], r1[k], rel, k0[k] * dt,
+                                 CONSTANT, FLOOR).y
     return ys, x_ij
 
 
@@ -198,10 +193,8 @@ def test_skew_measurement_unbiased_unequal_eps():
 
 
 def test_measurement_epoch_rule():
-    rec_ref = StampRecord(link=(0, 2), s=(5.0, 5.1), r=(6.0, 6.1))
-    rec_oth = StampRecord(link=(1, 2), s=(5.0, 5.1), r=(6.0, 6.1))
-    assert measurement_epoch(rec_ref) == 5.0
-    assert measurement_epoch(rec_oth) == 6.1
+    assert measurement_epoch(0, 5.0, 6.1) == 5.0
+    assert measurement_epoch(1, 5.0, 6.1) == 6.1
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +202,18 @@ def test_measurement_epoch_rule():
 # ---------------------------------------------------------------------------
 
 def _roundtrip(a_i, b_i, a_j, b_j, d, t0, t1):
-    """Stamps of one roundtrip between clocks tau = a t + b, symmetric delay d."""
+    """Stamps ``(s_i, r_ij, s_j, r_ji)`` of one roundtrip between clocks
+    tau = a t + b, symmetric delay d."""
     s_i = a_i * t0 + b_i
     r_ij = a_j * (t0 + d) + b_j
     s_j = a_j * t1 + b_j
     r_ji = a_i * (t1 + d) + b_i
-    return StampRecord(link=(1, 2), s=(s_i, s_j), r=(r_ij, r_ji))
+    return s_i, r_ij, s_j, r_ji
 
 
 def test_offset_estimate_identical_clocks():
     rec = _roundtrip(1.0, 0.0, 1.0, 0.0, d=0.004, t0=2.0, t1=2.1)
-    tau, d_ji, d_ij = offset_delay_estimate(rec, 1.0, 1.0)
+    tau, d_ji, d_ij = offset_delay_estimate(*rec, 1.0, 1.0)
     assert tau == pytest.approx(0.0, abs=1e-15)
     assert d_ji == pytest.approx(0.004, abs=1e-15)
     assert d_ij == pytest.approx(0.004, abs=1e-15)
@@ -227,7 +221,7 @@ def test_offset_estimate_identical_clocks():
 
 def test_offset_estimate_pure_offset():
     rec = _roundtrip(1.0, 0.2, 1.0, 0.9, d=0.004, t0=2.0, t1=2.1)
-    tau, d_ji, d_ij = offset_delay_estimate(rec, 1.0, 1.0)
+    tau, d_ji, d_ij = offset_delay_estimate(*rec, 1.0, 1.0)
     assert tau == pytest.approx(0.7, abs=1e-12)
     assert d_ji == pytest.approx(0.004, abs=1e-12)
 
@@ -245,14 +239,13 @@ def test_offset_estimate_exact_for_equal_skews(a, b_i, b_j, d, t0, wait):
     # Equal constant skews + symmetric constant delays + exact skew
     # estimates: the offset comes back exactly.
     rec = _roundtrip(a, b_i, a, b_j, d=d, t0=t0, t1=t0 + wait)
-    tau, _, _ = offset_delay_estimate(rec, 1.0, 1.0)
+    tau, _, _ = offset_delay_estimate(*rec, 1.0, 1.0)
     assert tau == pytest.approx(b_j - b_i, abs=1e-10)
 
 
 def test_offset_estimate_clamps_negative_delay():
     # An inconsistent stamp set that would imply a negative delay.
-    rec = StampRecord(link=(1, 2), s=(2.0, 3.0), r=(1.9, 2.9))
-    tau, d_ji, d_ij = offset_delay_estimate(rec, 1.0, 1.0)
+    tau, d_ji, d_ij = offset_delay_estimate(2.0, 1.9, 3.0, 2.9, 1.0, 1.0)
     assert d_ji == 0.0 and d_ij == 0.0
     assert tau == pytest.approx(3.0 - 2.9, abs=1e-15)
 
@@ -260,9 +253,9 @@ def test_offset_estimate_clamps_negative_delay():
 def test_offset_estimate_invalid_skew():
     rec = _roundtrip(1.0, 0.0, 1.0, 0.0, d=0.004, t0=2.0, t1=2.1)
     with pytest.raises(ValueError, match="invalid skew estimate"):
-        offset_delay_estimate(rec, 0.0, 1.0)
+        offset_delay_estimate(*rec, 0.0, 1.0)
     with pytest.raises(ValueError, match="invalid skew estimate"):
-        offset_delay_estimate(rec, 1.0, -0.5)
+        offset_delay_estimate(*rec, 1.0, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +288,6 @@ def test_predict_receipt_validation():
 # ---------------------------------------------------------------------------
 # Record validation
 # ---------------------------------------------------------------------------
-
-def test_stamp_record_validation():
-    with pytest.raises(ValueError):
-        StampRecord(link=(1, 2), s=(1.0,), r=(2.0, 2.1))
-
 
 def test_measurement_validation():
     with pytest.raises(ValueError):

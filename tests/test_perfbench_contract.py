@@ -70,3 +70,14 @@ def test_traced_machine_calls_happen(protocol, monkeypatch):
     tracer.fold()
     called = {name for name, span in spans.items() if tracer.totals[span]["calls"] > 0}
     assert called == set(tracing.MACHINE_METHODS) | _COMMON_CALLS | _PROTOCOL_CALLS[protocol]
+
+
+def test_table_counter_reads_a_simulate_clock_result():
+    # No traced run calls simulate_clock, so only this pins the counter
+    # that `perfbench/run.py --trace 1` installs on it to the result's fields.
+    tracer = load_tracing().Tracer()
+    traced = tracer.wrap("clocks.simulate_clock", clocks.simulate_clock,
+                         after=tracer._count_tables)
+    traj = traced(clocks.ClockParams(10.0, 1.0), horizon=0.01, dt=1e-3, seed=0)
+    assert traj.displays.nbytes > 0
+    assert tracer.table_bytes == traj.displays.nbytes + traj.skews.nbytes

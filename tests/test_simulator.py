@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import clocklab.simulator as simulator
 from conftest import traced_peak
 from clocklab.clocks import simulate_clock
-from clocklab.measurement import DELAY_KINDS, DelayModel, StampRecord, offset_delay_estimate
+from clocklab.measurement import DELAY_KINDS, DelayModel, offset_delay_estimate
 from clocklab.clocks import RelParams
 from clocklab.network import (
     link_moments,
@@ -423,8 +423,7 @@ def test_offset_reply_skews(proto, carried, own, skews):
         assert tau is None
         assert m.rel_off.values == {} and m.u_off[1] == 0.0
         return
-    rec = StampRecord(link=(1, 0), s=(s_i, s_j), r=(r_ij, r_ji))
-    want = offset_delay_estimate(rec, *skews)[0]
+    want = offset_delay_estimate(s_i, r_ij, s_j, r_ji, *skews)[0]
     assert tau.hex() == want.hex()
     assert m.rel_off.values == {(1, 0): want} and m.u_off[1] == r_ji
 
@@ -788,6 +787,67 @@ def test_valid_scenarios_run_and_replay_exactly(tmp_path_factory, sc):
         sc_p = replace(sc, protocol=proto)
         live, trace = run_scenario(sc_p)
         assert_replay_exact(live, trace, sc_p, path)
+
+
+# Values no field range should let through unchecked: zeros, negatives,
+# subnormals, the edges of the time ranges, huge values, infinities and NaN.
+_ODD_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, -1.0, 5e-324, sys.float_info.min, 2.0**-500, 2.0**-499,
+                     2.0**53, 2.0**499, 2.0**500, 1e300, sys.float_info.max,
+                     math.inf, -math.inf, math.nan)),
+    st.floats())
+_ODD_GAPS = st.one_of(st.integers(-2, 60), st.sampled_from((2**53, 2**64)))
+_RING = SyncGraph(n=4, edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
+
+
+@st.composite
+def arbitrary_scenarios(draw):
+    """A five-node ring whose grid, noise floor, delay, rates and gaps are
+    drawn at a scale where packets flow within a few dozen slots, with up
+    to three of them drawn from anywhere instead."""
+    odd = draw(st.sets(st.sampled_from(("dt", "horizon", "noise_floor", "mean", "spread",
+                                        "bound", "skew_rate", "offset_rate", "skew_gap",
+                                        "roundtrip_gap")), max_size=3))
+
+    def pick(name, usual):
+        return draw((_ODD_GAPS if name.endswith("gap") else _ODD_FLOATS)
+                    if name in odd else usual)
+
+    dt = pick("dt", st.floats(1e-7, 1e-2))
+    unit = dt if 0 < dt < math.inf else 1e-4  # scales the usual values of the others
+    mean = pick("mean", st.floats(0.5, 20.0).map(lambda k: k * unit))
+    scale = mean if 0 < mean < math.inf else unit
+    delay = DelayModel(
+        kind=draw(st.sampled_from(DELAY_KINDS)), mean=mean,
+        spread=pick("spread", st.floats(0.0, 1.0).map(lambda k: k * scale)),
+        bound=pick("bound", st.none() | st.floats(1.0, 5.0).map(lambda k: k * scale)))
+    rate = st.floats(1e-3, 0.49).map(lambda p: p / (2 * len(_RING.edges) * unit))
+    return Scenario(graph=_RING, alpha=10.0, epsilons=(0.0,) + (1.0,) * 4, delay=delay,
+                    dt=dt, horizon=pick("horizon", st.floats(1.0, 60.0).map(lambda k: k * unit)),
+                    noise_floor=pick("noise_floor", st.floats(1e-12, 1.0)),
+                    skew_rate=pick("skew_rate", rate), offset_rate=pick("offset_rate", rate),
+                    skew_gap=pick("skew_gap", st.integers(1, 10)),
+                    roundtrip_gap=pick("roundtrip_gap", st.integers(1, 10)),
+                    seed=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scenario_fields_are_rejected_or_run(tmp_path_factory, data):
+    # Every scenario either fails validation with ValueError or runs every
+    # protocol, warning-free, and replays exactly.
+    try:
+        sc = data.draw(arbitrary_scenarios())
+    except ValueError:
+        return
+    sc = replace(sc, horizon=min(sc.horizon, 50 * sc.dt))
+    path = tmp_path_factory.mktemp("replay") / "trace.csv"
+    for proto in PROTOCOLS:
+        sc_p = replace(sc, protocol=proto)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            live, trace = run_scenario(sc_p)
+            assert_replay_exact(live, trace, sc_p, path)
 
 
 def test_congested_link_counts_collisions():
