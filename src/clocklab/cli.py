@@ -36,7 +36,7 @@ from clocklab.clocks import (
 from clocklab.measurement import Measurement, noise_variance
 from clocklab.network import (
     initial_network_state,
-    net_predict,
+    net_predict_rows,
     net_update_distributed,
     net_update_optimal,
 )
@@ -126,18 +126,10 @@ def _resolve_seeds(spec: str | None, file_seed: int) -> list[int]:
 
 
 def _simulate_one(task):
-    path, seed, protocol, horizon, outdir = task
-    sc = read_scenario(path)
-    over: dict = {"seed": seed}
-    if protocol is not None:
-        over["protocol"] = protocol
-    if horizon is not None:
-        over["horizon"] = horizon
-    sc = replace(sc, **over)
+    sc, name, outdir = task
     report, trace = run_scenario(sc)
-    stem = Path(path).stem
-    metrics = Path(outdir) / f"{stem}-seed{seed}-metrics.csv"
-    tracef = Path(outdir) / f"{stem}-seed{seed}-trace.csv"
+    metrics = Path(outdir) / f"{name}-metrics.csv"
+    tracef = Path(outdir) / f"{name}-trace.csv"
     write_metrics_csv(report, metrics)
     write_trace_csv(trace, tracef)
     return str(metrics), str(tracef), report.collisions, report.discarded
@@ -145,17 +137,20 @@ def _simulate_one(task):
 
 def _cmd_simulate(args) -> int:
     outdir = Path(args.out)
+    over = {key: value for key, value in (("protocol", args.protocol), ("horizon", args.horizon))
+            if value is not None}
     tasks, source = [], {}
     for path in args.scenario:
-        file_seed = read_scenario(path).seed  # also validates the file early
-        for seed in _resolve_seeds(args.seed, file_seed):
+        sc = read_scenario(path)
+        for seed in _resolve_seeds(args.seed, sc.seed):
             # Runs are named by (stem, seed): two with the same name
             # would write the same files.
             name = f"{Path(path).stem}-seed{seed}"
             if name in source:
                 raise ValueError(f"{source[name]} and {path} both write the {name} outputs")
             source[name] = path
-            tasks.append((path, seed, args.protocol, args.horizon, str(outdir)))
+            # Each run's scenario is validated here, before any output is made.
+            tasks.append((replace(sc, seed=seed, **over), name, str(outdir)))
     outdir.mkdir(parents=True, exist_ok=True)
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -304,6 +299,8 @@ def _cmd_degrade(args) -> int:
     sc = read_scenario(args.scenario)
     if not args.period > 0:
         raise ValueError(f"period must be positive, got {args.period!r}")
+    if args.count is not None and args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     steps = args.count if args.count is not None else int(round(sc.horizon / args.period))
     if steps < 1:
         raise ValueError("horizon shorter than one measurement period")
@@ -311,6 +308,7 @@ def _cmd_degrade(args) -> int:
     rng = np.random.default_rng(args.seed)
     opt = initial_network_state(sc.params)
     dist = initial_network_state(sc.params)
+    every = dict.fromkeys(range(1, opt.n + 1), args.period)
     edges = sc.graph.edges
     handle, close = _out_handle(args.out)
     try:
@@ -320,8 +318,10 @@ def _cmd_degrade(args) -> int:
             link = edges[(k - 1) % len(edges)]
             y = float(rng.normal(scale=0.3))
             m = Measurement(link=link, y=y, sigma2=sigma2)
-            opt = net_update_optimal(net_predict(opt, args.period), m)
-            dist = net_update_distributed(net_predict(dist, args.period), m)
+            net_predict_rows(opt, every)
+            net_update_optimal(opt, m)
+            net_predict_rows(dist, every)
+            net_update_distributed(dist, m)
             tr_o, tr_d = float(np.trace(opt.P)), float(np.trace(dist.P))
             handle.write(f"{t_k:.17g},{tr_o:.17g},{tr_d:.17g},{tr_d / tr_o:.17g}\n")
     finally:

@@ -14,17 +14,15 @@ it reduce to the scalar pairwise update.
 
 Prediction is per node: :func:`net_predict_rows` advances each node
 keyed in ``elapsed`` (node ids 1..n; node m sits in row m - 1) by its
-own elapsed time, as a distributed node's rows age on its own clock;
-:func:`net_predict` advances every row by the same time.
+own elapsed time, as a distributed node's rows age on its own clock.
 A state holds no clock of its own: callers keep the stamps that the
 elapsed times are taken from.
 
-The per-node operations (:func:`net_predict_rows`,
+Every operation writes into the state it is given and returns
+``None``, as a distributed node updates the covariance entries it
+stores.  The per-node operations (:func:`net_predict_rows`,
 :func:`net_update_distributed`) change only their nodes' rows and
-columns.  They compute those rows into temporaries from the input and
-then write them into a target state: ``out``, which may be the input
-itself, so a filter that owns its state advances it with no copy of
-``P``; without ``out`` the target is a fresh copy of the input.
+columns, so a step costs O(n) with no copy of ``P``.
 Readouts are log-normal formulas of the moments that
 :func:`link_moments` reads from a link's endpoint entries, in Python
 floats and without building a state: :func:`relative_skew_readout`
@@ -35,7 +33,7 @@ and :func:`nodal_skew_estimate` a node's own clock parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +46,6 @@ __all__ = [
     "initial_network_state",
     "link_moments",
     "measurement_selector",
-    "net_predict",
     "net_predict_rows",
     "net_update_optimal",
     "net_update_distributed",
@@ -64,10 +61,8 @@ class NetworkFilterState:
     ``x_hat[m-1]`` estimates node m's state and ``P`` is the matching
     error covariance; ``params[i]`` holds node i's clock parameters for
     every node *including* the reference at index 0.  The fields are
-    fixed, but the arrays are not: :func:`net_predict_rows` and
-    :func:`net_update_distributed` given a target state (``out``)
-    write their result into its arrays; every operation without a
-    target returns fresh arrays and leaves its input as it was.
+    fixed, but the arrays are not: every operation writes its result
+    into them, so a filter keeps the same buffers for its whole life.
     """
 
     x_hat: np.ndarray
@@ -135,67 +130,36 @@ def _row_decay(st: NetworkFilterState, node: int, dt: float) -> tuple[float, flo
     return decay, st.params[node].stationary_state_variance * (1.0 - decay * decay)
 
 
-def _target(st: NetworkFilterState, out: NetworkFilterState | None) -> NetworkFilterState:
-    """The state an operation writes into, holding the values of ``st``:
-    ``out`` (copied into unless it is ``st``), or fresh copies."""
-    if out is None:
-        return replace(st, x_hat=st.x_hat.copy(), P=st.P.copy())
-    if out is not st:
-        np.copyto(out.x_hat, st.x_hat)
-        np.copyto(out.P, st.P)
-    return out
+def net_predict_rows(st: NetworkFilterState, elapsed: dict[int, float]) -> None:
+    """Advance selected nodes' states by their own elapsed times, in place.
 
-
-def net_predict_rows(st: NetworkFilterState, elapsed: dict[int, float],
-                     out: NetworkFilterState | None = None) -> NetworkFilterState:
-    """Advance selected nodes' states by their own elapsed times.
-
-    ``elapsed`` maps node ids (1..n; another key raises ``ValueError``)
-    to nonnegative time differences.  Each named node's row decays by
-    its own factor and collects its own process noise; unnamed rows are
-    left stale, to be advanced when they next participate.
+    ``elapsed`` maps node ids (1..n) to nonnegative time differences;
+    another key or a negative time raises ``ValueError``.  Each named
+    node's row decays by its own factor and collects its own process
+    noise; unnamed rows are left stale, to be advanced when they next
+    participate.
 
     With ``g`` the decay factors (1 on unnamed rows), named row k
     becomes ``P[k, :] * (g[k] * g)``, is copied onto column k, and then
     ``P[k, k]`` gains the process noise: entry for entry this is
     ``P * outer(g, g) + diag(noise)`` for a symmetric ``P``, at
-    O(n * len(elapsed)) arithmetic.  The named rows are computed from
-    ``st`` before any is written, so the result lands in ``out`` (which
-    may be ``st``) or, without ``out``, in a fresh copy of ``st``.
+    O(n * len(elapsed)) arithmetic.  The named rows are all computed
+    from ``st`` into temporaries before any is written back, which is
+    what makes writing them in place correct.
     """
     _check_nodes(st, elapsed)
     g = np.ones(st.n)
     noise = {}
     for m in sorted(elapsed):
+        if elapsed[m] < 0:
+            raise ValueError(f"time went backwards: node {m} elapsed {elapsed[m]!r}")
         g[m - 1], noise[m - 1] = _row_decay(st, m, elapsed[m])
     rows = {k: st.P[k, :] * (g[k] * g) for k in noise}
-    out = _target(st, out)
     for k, row in rows.items():
-        out.P[k, :] = out.P[:, k] = row
+        st.P[k, :] = st.P[:, k] = row
     for k, add in noise.items():
-        out.P[k, k] += add
-        out.x_hat[k] *= g[k]
-    return out
-
-
-def net_predict(st: NetworkFilterState, dt: float) -> NetworkFilterState:
-    """Advance the joint state by ``dt`` in closed form.
-
-    Every state decays by ``e^{-alpha dt}``; the covariance contracts
-    the same way and picks up independent process noise on the
-    diagonal: ``P <- e^{-2 alpha dt} P + (1-e^{-2 alpha dt}) diag(eps_m^2/2 alpha)``.
-    For a symmetric ``P`` this is :func:`net_predict_rows` over every
-    row, bit for bit, with one decay factor for all rows.
-    """
-    if dt < 0:
-        raise ValueError(f"time went backwards: dt={dt!r}")
-    if dt == 0:
-        return st
-    decay = np.exp(-st.alpha * dt)
-    e_m = np.array([p.stationary_state_variance for p in st.params[1:]])
-    p_new = st.P * (decay * decay)
-    p_new.flat[::st.n + 1] += e_m * (1.0 - decay * decay)
-    return replace(st, x_hat=decay * st.x_hat, P=p_new)
+        st.P[k, k] += add
+        st.x_hat[k] *= g[k]
 
 
 def _innovation_stats(st: NetworkFilterState, m: Measurement):
@@ -211,8 +175,8 @@ def _innovation_stats(st: NetworkFilterState, m: Measurement):
     return ks, pm, c_k, innovation
 
 
-def net_update_optimal(st: NetworkFilterState, m: Measurement) -> NetworkFilterState:
-    """Condition the whole network on one link measurement.
+def net_update_optimal(st: NetworkFilterState, m: Measurement) -> None:
+    """Condition the whole network on one link measurement, in place.
 
     Gain ``K = P M / c_k`` with ``c_k = M' P M + sigma2``
     (componentwise ``(P_mj - P_mi)/c_k``); the covariance loses the
@@ -222,16 +186,12 @@ def net_update_optimal(st: NetworkFilterState, m: Measurement) -> NetworkFilterS
     if c_k <= 0:
         raise ValueError(f"covariance degenerate: c_k={c_k!r}")
     p_new = st.P - np.outer(pm, pm) / c_k
-    return replace(
-        st,
-        x_hat=st.x_hat + pm * (innovation / c_k),
-        P=0.5 * (p_new + p_new.T),
-    )
+    st.P[...] = 0.5 * (p_new + p_new.T)
+    st.x_hat[...] = st.x_hat + pm * (innovation / c_k)
 
 
-def net_update_distributed(st: NetworkFilterState, m: Measurement,
-                           out: NetworkFilterState | None = None) -> NetworkFilterState:
-    """Link-local update: gain truncated to the link's own endpoints.
+def net_update_distributed(st: NetworkFilterState, m: Measurement) -> None:
+    """Link-local update, in place: gain truncated to the link's own endpoints.
 
     Uses the optimal gain components at i and j and zero elsewhere, so
     each endpoint needs only covariance entries it stores itself.  The
@@ -242,10 +202,9 @@ def net_update_distributed(st: NetworkFilterState, m: Measurement,
     Expanded, that form is the rank-2 update
     ``P - K pm' - pm K' + c_k K K'`` with ``pm = P M``.  K is zero off
     the link, so only the endpoints' rows and columns change: they are
-    computed from ``st`` as rows, in O(n), and then written onto the
-    rows and columns of ``out`` (which may be ``st``), which keeps
-    ``P`` exactly symmetric.  Without ``out`` they are written into a
-    fresh copy of ``st``.
+    all computed from ``st`` into temporaries, in O(n), before any is
+    written back onto the rows and columns of ``st``, which keeps ``P``
+    exactly symmetric.
     """
     ks, pm, c_k, innovation = _innovation_stats(st, m)
     if c_k <= 0:
@@ -255,12 +214,9 @@ def net_update_distributed(st: NetworkFilterState, m: Measurement,
     rows = st.P[ks, :] - gain[:, None] * pm  # outer products, broadcast
     block = rows[:, ks] - pm_k[:, None] * gain + c_k * (gain[:, None] * gain)
     rows[:, ks] = 0.5 * (block + block.T)
-    x = st.x_hat[ks] + gain * innovation
-    out = _target(st, out)
-    out.P[ks, :] = rows
-    out.P[:, ks] = rows.T
-    out.x_hat[ks] = x
-    return out
+    st.P[ks, :] = rows
+    st.P[:, ks] = rows.T
+    st.x_hat[ks] += gain * innovation
 
 
 def _endpoint(st: NetworkFilterState, node: int,

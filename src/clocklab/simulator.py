@@ -18,8 +18,8 @@ All estimator state advances on *local* time-stamp differences only —
 no protocol code ever reads reference time.  A filter readout is the
 two moments of one link (:func:`clocklab.network.link_moments`) put
 through a formula of :mod:`clocklab.network`; no code here reads the
-entries of a filter state.  Each filter owns its state and has
-:mod:`clocklab.network` update it in place (``out=``), so a packet
+entries of a filter state.  Each filter owns its state, which the
+operations of :mod:`clocklab.network` update in place, so a packet
 costs O(n) in a filter over n nodes, with no copy of the covariance.
 Live runs and trace replay
 share one packet dispatcher, :meth:`ProtocolMachine.deliver`: the engine
@@ -144,6 +144,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if len(self.epsilons) != self.graph.n + 1:
             raise ValueError(
                 f"need one epsilon per node: got {len(self.epsilons)} "
@@ -476,7 +478,7 @@ class _Filter:
     times go to :mod:`clocklab.network` keyed by the filter's numbering.
     Reads and updates take ``now``, the nodes to advance and their
     local stamps.  The filter owns its state, and an update writes into
-    it (``out=``): the covariance is never copied.
+    it: the covariance is never copied.
     """
 
     def __init__(self, params, nodes) -> None:
@@ -498,8 +500,8 @@ class _Filter:
         """Advance the link's endpoints to their stamps in ``now``, then
         take the distributed update on ``m``, whose link is in the
         filter's numbering (``loc``)."""
-        net_predict_rows(self.state, self._elapsed(now), out=self.state)
-        net_update_distributed(self.state, m, out=self.state)
+        net_predict_rows(self.state, self._elapsed(now))
+        net_update_distributed(self.state, m)
         for node, stamp in now.items():
             if node != 0:
                 self.last[node] = stamp

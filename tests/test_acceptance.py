@@ -34,7 +34,7 @@ from clocklab.clocks import AllanPoint
 from clocklab.measurement import Measurement, noise_variance
 from clocklab.network import (
     initial_network_state,
-    net_predict,
+    net_predict_rows,
     net_update_distributed,
     net_update_optimal,
 )
@@ -199,14 +199,16 @@ def test_criterion_06_network_filter_reduction_and_dominance():
     # (a) both network updates collapse to the pairwise filter on 2 nodes
     params2 = (ClockParams(10.0, 0.0), ClockParams(10.0, 1.0))
     rel = RelParams(alpha=10.0, eps_i=0.0, eps_j=1.0)
-    opt = dist = initial_network_state(params2)
+    opt = initial_network_state(params2)
+    dist = initial_network_state(params2)
     pw = initial_state(rel)
     rng = np.random.default_rng(9)
     for _ in range(300):
         dt, y, s2 = rng.uniform(0, 0.05), rng.normal(scale=0.4), rng.uniform(1e-4, 0.1)
         m = Measurement(link=(0, 1), y=y, sigma2=s2)
-        opt = net_update_optimal(net_predict(opt, dt), m)
-        dist = net_update_distributed(net_predict(dist, dt), m)
+        for st, net_update in ((opt, net_update_optimal), (dist, net_update_distributed)):
+            net_predict_rows(st, {1: dt})
+            net_update(st, m)
         pw = update(predict(pw, dt), m)
         for st in (opt, dist):
             assert abs(float(st.x_hat[0]) - pw.x_hat) <= 1e-12
@@ -217,15 +219,16 @@ def test_criterion_06_network_filter_reduction_and_dominance():
     sigma2 = noise_variance(sc.skew_gap * sc.dt, sc.delay, sc.noise_floor)
     opt = initial_network_state(sc.params)
     dist = initial_network_state(sc.params)
+    every = dict.fromkeys(range(1, opt.n + 1), 0.002)
     rng = np.random.default_rng(7)
     for k in range(2000):
         link = sc.graph.edges[k % len(sc.graph.edges)]
         m = Measurement(link=link, y=float(rng.normal(scale=0.3)), sigma2=sigma2)
-        opt = net_predict(opt, 0.002)
-        dist = net_predict(dist, 0.002)
+        net_predict_rows(opt, every)
+        net_predict_rows(dist, every)
         diag_before = np.diag(dist.P).copy()
-        opt = net_update_optimal(opt, m)
-        dist = net_update_distributed(dist, m)
+        net_update_optimal(opt, m)
+        net_update_distributed(dist, m)
         assert np.trace(opt.P) <= np.trace(dist.P) + 1e-12
         assert np.all(np.diag(dist.P) <= diag_before + 1e-15)
         for st in (opt, dist):

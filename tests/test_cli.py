@@ -311,6 +311,7 @@ RING = {"nodes": "5", "edges": "0-1, 1-2, 2-3, 3-4, 4-0", "alpha": "10.0",
     ({"delay.mean": "inf"}, "mean delay"),
     ({"delay.mean": "1e308", "delay.kind": "constant"}, "mean delay"),
     ({"delay.bound": "nan"}, "bound"),
+    ({"seed": "-1"}, "seed"),
 ])
 def test_simulate_rejects_values_it_cannot_run(tmp_path, capsys, changes, field):
     # Each of these once passed validation and then failed inside the run.
@@ -348,6 +349,14 @@ def test_simulate_bad_seed_exits_two(fast_scenario, tmp_path, capsys):
                      "--seed", bad]) == 2
         assert f"bad seed {bad!r}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_simulate_rejects_a_negative_seed_before_any_output(fast_scenario, tmp_path, capsys):
+    for bad in ("-1", "3,-2"):
+        assert main(["simulate", str(fast_scenario), "--out", str(tmp_path / "out"),
+                     "--seed", bad]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------------- allan
@@ -541,6 +550,14 @@ def test_degrade_bad_period_exits_two(capsys):
     assert main(["degrade", str(SCENARIOS / "two-node.scenario"),
                  "--period", "-1"]) == 2
     assert "period" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_degrade_bad_count_names_count(capsys, count):
+    assert main(["degrade", str(SCENARIOS / "two-node.scenario"), "--count", count]) == 2
+    err = capsys.readouterr().err
+    assert f"--count must be at least 1, got {count}" in err
+    assert "horizon" not in err
 
 
 # --------------------------------------------------------------------- hints

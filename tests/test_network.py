@@ -1,6 +1,7 @@
 """Tests for the centralized and distributed network filters."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from clocklab.network import (
     initial_network_state,
     link_moments,
     measurement_selector,
-    net_predict,
     net_predict_rows,
     net_update_distributed,
     net_update_optimal,
@@ -39,6 +39,41 @@ def diag_state(diag, params=P4):
         x_hat=np.zeros(len(diag)), P=np.diag(np.asarray(diag, dtype=float)),
         params=st.params,
     )
+
+
+def random_state(rng, params):
+    """A state of ``params`` with a random mean and a random symmetric
+    positive-definite covariance."""
+    n = len(params) - 1
+    a = rng.normal(size=(n, n))
+    b = a @ a.T + 0.1 * np.eye(n)
+    return initial_network_state(params).__class__(
+        x_hat=rng.normal(size=n, scale=0.2), P=0.5 * (b + b.T), params=params)
+
+
+def copy_of(st):
+    """``st`` with arrays of its own, which an operation on ``st`` leaves as they are."""
+    return replace(st, x_hat=st.x_hat.copy(), P=st.P.copy())
+
+
+def every_row(st, dt):
+    """Elapsed times that advance every node of ``st`` by ``dt``."""
+    return dict.fromkeys(range(1, st.n + 1), dt)
+
+
+def dense_predict(st, dt):
+    """Every row of ``st`` advanced by ``dt`` in the dense closed form, as a
+    new state: ``P <- e^{-2 alpha dt} P + (1-e^{-2 alpha dt}) diag(eps_m^2/2 alpha)``."""
+    decay = np.exp(-st.alpha * dt)
+    e_m = np.array([p.stationary_state_variance for p in st.params[1:]])
+    p_new = st.P * (decay * decay)
+    p_new.flat[::st.n + 1] += e_m * (1.0 - decay * decay)
+    return replace(st, x_hat=decay * st.x_hat, P=p_new)
+
+
+def assert_same_bits(got, want, msg=None):
+    for g, w in ((got.x_hat, want.x_hat), (got.P, want.P)):
+        assert list(map(float.hex, g.ravel())) == list(map(float.hex, w.ravel())), msg
 
 
 # ------------------------------------------------------------ construction
@@ -75,12 +110,15 @@ def test_measurement_selector():
 
 
 def test_net_predict_zero_dt_identity():
-    st = initial_network_state(P4)
-    assert net_predict(st, 0.0) is st
+    st = random_state(np.random.default_rng(5), P4)
+    before = copy_of(st)
+    assert net_predict_rows(st, every_row(st, 0.0)) is None
+    assert_same_bits(st, before)
 
 
 def test_net_predict_reaches_stationary_diag():
-    st = net_predict(initial_network_state(P4), 100.0)
+    st = initial_network_state(P4)
+    net_predict_rows(st, every_row(st, 100.0))
     want = np.diag([p.epsilon**2 / 20.0 for p in P4[1:]])
     np.testing.assert_allclose(st.P, want, rtol=1e-12, atol=0)
 
@@ -88,16 +126,19 @@ def test_net_predict_reaches_stationary_diag():
 def test_net_predict_semigroup():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 3))
-    st = diag_state([0.1, 0.2, 0.3]).__class__(
+    two = diag_state([0.1, 0.2, 0.3]).__class__(
         x_hat=rng.normal(size=3), P=a @ a.T, params=P4
     )
-    one = net_predict(st, 0.34)
-    two = net_predict(net_predict(st, 0.17), 0.17)
+    one = copy_of(two)
+    net_predict_rows(one, every_row(one, 0.34))
+    net_predict_rows(two, every_row(two, 0.17))
+    net_predict_rows(two, every_row(two, 0.17))
     np.testing.assert_allclose(two.x_hat, one.x_hat, rtol=1e-13)
     np.testing.assert_allclose(two.P, one.P, rtol=1e-12, atol=1e-16)
 
 
 def test_net_predict_is_net_predict_rows_over_every_row():
+    # Over every row, net_predict_rows is the dense closed form bit for bit.
     rng = np.random.default_rng(3)
     for n in (1, 2, 9, 50):
         params = (REF,) + tuple(ClockParams(10.0, e) for e in rng.uniform(0.0, 2.0, n))
@@ -105,15 +146,17 @@ def test_net_predict_is_net_predict_rows_over_every_row():
         st = initial_network_state(params).__class__(
             x_hat=rng.normal(size=n), P=a @ a.T, params=params)
         for dt in (1e-4, 0.013, 0.7, 5.0):
-            want = net_predict_rows(st, dict.fromkeys(range(1, n + 1), dt))
-            got = net_predict(st, dt)
-            for w, g in ((want.x_hat, got.x_hat), (want.P, got.P)):
-                assert list(map(float.hex, g.ravel())) == list(map(float.hex, w.ravel())), (n, dt)
+            got = copy_of(st)
+            net_predict_rows(got, every_row(got, dt))
+            assert_same_bits(got, dense_predict(st, dt), (n, dt))
 
 
 def test_net_predict_rejects_negative_dt():
+    st = random_state(np.random.default_rng(6), P4)
+    before = copy_of(st)
     with pytest.raises(ValueError, match="time went backwards"):
-        net_predict(initial_network_state(P4), -0.1)
+        net_predict_rows(st, {1: 0.1, 2: -0.1})
+    assert_same_bits(st, before)  # checked before any row is written
 
 
 # ------------------------------------------------------------ optimal update
@@ -121,25 +164,26 @@ def test_net_predict_rejects_negative_dt():
 
 def test_optimal_reference_link_touches_one_row():
     st = diag_state([0.1, 0.2, 0.3])
-    out = net_update_optimal(st, meas((0, 1), y=0.7, sigma2=0.05))
-    assert out.x_hat[0] == pytest.approx(0.1 * 0.7 / 0.15, rel=1e-14)
-    assert out.x_hat[1] == out.x_hat[2] == 0.0
-    assert out.P[0, 0] == pytest.approx(0.1 - 0.01 / 0.15, rel=1e-14)
-    np.testing.assert_array_equal(out.P[1:, 1:], st.P[1:, 1:])
-    assert not out.P[0, 1:].any() and not out.P[1:, 0].any()
+    before = copy_of(st)
+    assert net_update_optimal(st, meas((0, 1), y=0.7, sigma2=0.05)) is None
+    assert st.x_hat[0] == pytest.approx(0.1 * 0.7 / 0.15, rel=1e-14)
+    assert st.x_hat[1] == st.x_hat[2] == 0.0
+    assert st.P[0, 0] == pytest.approx(0.1 - 0.01 / 0.15, rel=1e-14)
+    np.testing.assert_array_equal(st.P[1:, 1:], before.P[1:, 1:])
+    assert not st.P[0, 1:].any() and not st.P[1:, 0].any()
 
 
 def test_optimal_internal_link_hand_expansion():
     st = diag_state([0.1, 0.2, 0.3])
-    out = net_update_optimal(st, meas((1, 2), y=0.35, sigma2=0.05))
+    net_update_optimal(st, meas((1, 2), y=0.35, sigma2=0.05))
     c = 0.1 + 0.2 + 0.05
-    assert out.P[0, 0] == pytest.approx(0.1 - 0.01 / c, rel=1e-14)
-    assert out.P[1, 1] == pytest.approx(0.2 - 0.04 / c, rel=1e-14)
-    assert out.P[0, 1] == pytest.approx(0.02 / c, rel=1e-14)
-    assert out.P[2, 2] == 0.3
-    assert not out.P[2, :2].any()
+    assert st.P[0, 0] == pytest.approx(0.1 - 0.01 / c, rel=1e-14)
+    assert st.P[1, 1] == pytest.approx(0.2 - 0.04 / c, rel=1e-14)
+    assert st.P[0, 1] == pytest.approx(0.02 / c, rel=1e-14)
+    assert st.P[2, 2] == 0.3
+    assert not st.P[2, :2].any()
     np.testing.assert_allclose(
-        out.x_hat, np.array([-0.1, 0.2, 0.0]) * (0.35 / c), rtol=1e-14
+        st.x_hat, np.array([-0.1, 0.2, 0.0]) * (0.35 / c), rtol=1e-14
     )
 
 
@@ -158,7 +202,8 @@ def test_single_node_network_reduces_to_pairwise():
     for _ in range(200):
         dt = rng.uniform(0.0, 0.05)
         y, s2 = rng.normal(), rng.uniform(1e-4, 1e-1)
-        net = net_update_optimal(net_predict(net, dt), meas((0, 1), y, s2))
+        net_predict_rows(net, {1: dt})
+        net_update_optimal(net, meas((0, 1), y, s2))
         pair = update(predict(pair, dt), Measurement(link=(0, 1), y=y, sigma2=s2))
         assert net.x_hat[0] == pytest.approx(pair.x_hat, rel=1e-12, abs=1e-15)
         assert net.P[0, 0] == pytest.approx(pair.P, rel=1e-12)
@@ -171,8 +216,9 @@ def test_distributed_equals_optimal_on_single_node_network():
     for _ in range(200):
         dt = rng.uniform(0.0, 0.05)
         y, s2 = rng.normal(), rng.uniform(1e-4, 1e-1)
-        a = net_update_optimal(net_predict(a, dt), meas((0, 1), y, s2))
-        b = net_update_distributed(net_predict(b, dt), meas((0, 1), y, s2))
+        for st, update in ((a, net_update_optimal), (b, net_update_distributed)):
+            net_predict_rows(st, {1: dt})
+            update(st, meas((0, 1), y, s2))
         assert b.x_hat[0] == pytest.approx(a.x_hat[0], rel=1e-12, abs=1e-15)
         assert b.P[0, 0] == pytest.approx(a.P[0, 0], rel=1e-12)
 
@@ -182,22 +228,23 @@ def test_distributed_equals_optimal_on_single_node_network():
 
 def test_distributed_huge_noise_is_a_noop():
     st = diag_state([0.1, 0.2, 0.3])
-    out = net_update_distributed(st, meas((1, 2), y=5.0, sigma2=1e30))
-    np.testing.assert_allclose(out.x_hat, st.x_hat, atol=1e-12)
-    np.testing.assert_allclose(out.P, st.P, rtol=1e-12, atol=1e-15)
+    before = copy_of(st)
+    assert net_update_distributed(st, meas((1, 2), y=5.0, sigma2=1e30)) is None
+    np.testing.assert_allclose(st.x_hat, before.x_hat, atol=1e-12)
+    np.testing.assert_allclose(st.P, before.P, rtol=1e-12, atol=1e-15)
 
 
 def test_distributed_diagonal_hand_expansion():
     st = diag_state([0.1, 0.2, 0.3])
-    out = net_update_distributed(st, meas((1, 2), y=0.35, sigma2=0.05))
+    net_update_distributed(st, meas((1, 2), y=0.35, sigma2=0.05))
     a = 0.35
-    assert out.P[0, 0] == pytest.approx(0.1 * (0.2 + 0.05) / a, rel=1e-13)
-    assert out.P[1, 1] == pytest.approx(0.2 * (0.1 + 0.05) / a, rel=1e-13)
-    assert out.P[2, 2] == 0.3
+    assert st.P[0, 0] == pytest.approx(0.1 * (0.2 + 0.05) / a, rel=1e-13)
+    assert st.P[1, 1] == pytest.approx(0.2 * (0.1 + 0.05) / a, rel=1e-13)
+    assert st.P[2, 2] == 0.3
     np.testing.assert_allclose(
-        out.x_hat[:2], np.array([-0.1, 0.2]) * (0.35 / a), rtol=1e-13
+        st.x_hat[:2], np.array([-0.1, 0.2]) * (0.35 / a), rtol=1e-13
     )
-    assert out.x_hat[2] == 0.0
+    assert st.x_hat[2] == 0.0
 
 
 def test_distributed_locality_with_general_covariance():
@@ -207,12 +254,13 @@ def test_distributed_locality_with_general_covariance():
         x_hat=rng.normal(size=3), P=a @ a.T + 0.5 * np.eye(3),
         params=P4,
     )
-    out = net_update_distributed(st, meas((1, 2), y=0.4, sigma2=0.01))
-    assert out.x_hat[2] == st.x_hat[2]
-    assert out.P[2, 2] == pytest.approx(st.P[2, 2], rel=1e-14)
+    before = copy_of(st)
+    net_update_distributed(st, meas((1, 2), y=0.4, sigma2=0.01))
+    assert st.x_hat[2] == before.x_hat[2]
+    assert st.P[2, 2] == pytest.approx(before.P[2, 2], rel=1e-14)
     # endpoint diagonals never increase
-    assert out.P[0, 0] <= st.P[0, 0] + 1e-15
-    assert out.P[1, 1] <= st.P[1, 1] + 1e-15
+    assert st.P[0, 0] <= before.P[0, 0] + 1e-15
+    assert st.P[1, 1] <= before.P[1, 1] + 1e-15
 
 
 def dense_joseph_update(st, m):
@@ -241,73 +289,56 @@ def test_distributed_matches_dense_joseph_form(n):
             params=params,
         )
         m = meas(link, y=rng.normal(), sigma2=rng.uniform(1e-4, 1.0))
-        out = net_update_distributed(st, m)
         x_ref, p_ref = dense_joseph_update(st, m)
+        net_update_distributed(st, m)
         scale = np.abs(p_ref).max()
-        np.testing.assert_allclose(out.x_hat, x_ref, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(out.P, p_ref, rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_array_equal(out.P, out.P.T)
-
-
-def random_state(rng, params):
-    """A state of ``params`` with a random mean and a random symmetric
-    positive-definite covariance."""
-    n = len(params) - 1
-    a = rng.normal(size=(n, n))
-    b = a @ a.T + 0.1 * np.eye(n)
-    return initial_network_state(params).__class__(
-        x_hat=rng.normal(size=n, scale=0.2), P=0.5 * (b + b.T), params=params)
+        np.testing.assert_allclose(st.x_hat, x_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(st.P, p_ref, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_array_equal(st.P, st.P.T)
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 60])
 def test_in_place_operations_match_the_copying_calls(n):
-    # Three chains over one random sequence of predicts and updates: the
-    # copying calls, every result written into the input itself, and
-    # every result written into a spare state.  All agree bit for bit.
+    # A random chain of predicts and updates, each written into the state
+    # it reads.  After every step the state equals that step's dense
+    # reference applied to a copy of the previous state, so no entry is
+    # read after the operation has overwritten it.
     rng = np.random.default_rng(900 + n)
     params = (REF,) + tuple(ClockParams(10.0, e) for e in rng.uniform(0.5, 1.5, n))
-    fresh = random_state(rng, params)
-    kept = fresh.__class__(x_hat=fresh.x_hat.copy(), P=fresh.P.copy(), params=params)
-    spare = initial_network_state(params)
+    st = random_state(rng, params)
     for _ in range(120):
+        prev = copy_of(st)
         if rng.uniform() < 0.5:
             nodes = rng.choice(np.arange(1, n + 1), size=min(n, int(rng.integers(1, 4))),
                                replace=False)
             elapsed = {int(k): float(rng.uniform(0.0, 0.05)) for k in nodes}
-            assert net_predict_rows(kept, elapsed, out=kept) is kept
-            assert net_predict_rows(fresh, elapsed, out=spare) is spare
-            fresh = net_predict_rows(fresh, elapsed)
+            assert net_predict_rows(st, elapsed) is None
+            g, noise = np.ones(n), np.zeros(n)
+            for m, d in elapsed.items():
+                g[m - 1] = np.exp(-st.alpha * d)
+                noise[m - 1] = params[m].stationary_state_variance * (1.0 - g[m - 1] * g[m - 1])
+            want = replace(prev, x_hat=g * prev.x_hat,
+                           P=prev.P * np.outer(g, g) + np.diag(noise))
+            assert_same_bits(st, want)
         else:
             i, j = (int(k) for k in rng.choice(n + 1, size=2, replace=False))
             m = meas((i, j), y=rng.normal(scale=0.3), sigma2=rng.uniform(1e-4, 1e-2))
-            assert net_update_distributed(kept, m, out=kept) is kept
-            assert net_update_distributed(fresh, m, out=spare) is spare
-            fresh = net_update_distributed(fresh, m)
-        for st in (kept, spare):
-            assert [v.hex() for v in st.x_hat] == [v.hex() for v in fresh.x_hat]
-            assert [v.hex() for v in st.P.ravel()] == [v.hex() for v in fresh.P.ravel()]
-
-
-def test_calls_without_a_target_leave_their_input_untouched():
-    st = random_state(np.random.default_rng(31), P4)
-    x0, p0 = st.x_hat.copy(), st.P.copy()
-    for out in (net_predict_rows(st, {1: 0.03, 3: 0.01}),
-                net_update_distributed(st, meas((1, 2), y=0.4, sigma2=0.01)),
-                net_update_distributed(st, meas((3, 0), y=-0.2, sigma2=0.02))):
-        assert not np.shares_memory(out.P, st.P)
-        assert not np.shares_memory(out.x_hat, st.x_hat)
-        assert out.P.tobytes() != p0.tobytes()
-    assert st.x_hat.tobytes() == x0.tobytes()
-    assert st.P.tobytes() == p0.tobytes()
+            assert net_update_distributed(st, m) is None
+            x_ref, p_ref = dense_joseph_update(prev, m)
+            scale = np.abs(p_ref).max()
+            np.testing.assert_allclose(st.x_hat, x_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(st.P, p_ref, rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_array_equal(st.P, st.P.T)
 
 
 def test_two_hop_covariance_fill_in():
     # Path 0-1-2-3: a measurement on (1,2) leaves P_13 untouched, the
     # follow-up on (2,3) propagates correlation to the (1,3) entry.
-    st = net_predict(initial_network_state(P4), 0.05)
-    st = net_update_optimal(st, meas((1, 2), y=0.1, sigma2=1e-3))
+    st = initial_network_state(P4)
+    net_predict_rows(st, every_row(st, 0.05))
+    net_update_optimal(st, meas((1, 2), y=0.1, sigma2=1e-3))
     assert st.P[0, 2] == 0.0
-    st = net_update_optimal(st, meas((2, 3), y=-0.1, sigma2=1e-3))
+    net_update_optimal(st, meas((2, 3), y=-0.1, sigma2=1e-3))
     assert abs(st.P[0, 2]) > 1e-12
 
 
@@ -324,13 +355,13 @@ def test_side_by_side_dominance_and_psd():
         dt = rng.uniform(0.0, 0.01)
         link = links[rng.integers(len(links))]
         y, s2 = rng.normal(scale=0.3), rng.uniform(1e-4, 1e-2)
-        opt = net_predict(opt, dt)
-        dist = net_predict(dist, dt)
+        net_predict_rows(opt, every_row(opt, dt))
+        net_predict_rows(dist, every_row(dist, dt))
         tr_before = np.trace(opt.P)
         i, j = link
         d_diag_before = [dist.P[k - 1, k - 1] for k in (i, j) if k != 0]
-        opt = net_update_optimal(opt, meas(link, y, s2))
-        dist = net_update_distributed(dist, meas(link, y, s2))
+        net_update_optimal(opt, meas(link, y, s2))
+        net_update_distributed(dist, meas(link, y, s2))
         d_diag_after = [dist.P[k - 1, k - 1] for k in (i, j) if k != 0]
         assert np.trace(opt.P) <= tr_before + 1e-15
         assert np.trace(opt.P) <= np.trace(dist.P) + 1e-12
@@ -359,7 +390,8 @@ def test_link_moments_match_net_predict_rows():
     )
     assert np.count_nonzero(st.P) == 9
     for elapsed in ({}, {1: 0.03}, {3: 0.01}, {1: 0.03, 2: 0.05}, {1: 0.02, 2: 0.0, 3: 0.04}):
-        full = net_predict_rows(st, elapsed)
+        full = copy_of(st)
+        net_predict_rows(full, elapsed)
         x = np.concatenate(([0.0], full.x_hat))
         p = np.zeros((4, 4))
         p[1:, 1:] = full.P
