@@ -7,7 +7,10 @@ normalizer ``c(t)`` keeps the mean skew at exactly one, and a time
 display ``tau(t)`` obtained by integrating the skew.
 
 Every sample path comes from one generator, :func:`clock_chunks`, which
-streams a batch of clocks along a fixed grid one chunk at a time.  The
+streams a batch of clocks along a fixed grid one chunk at a time.  Its
+AR(1) recursion of the log-skew state runs in the C kernel behind
+``scipy.signal.lfilter``, loaded on its own (:func:`_load_ar1_kernel`)
+so that importing this module never imports ``scipy.signal``.  The
 module also evaluates the closed-form moments and variance bounds of
 all three processes, computes the Allan variance of the skew (from its
 exact series over the expanded correlation kernel, and from display
@@ -19,12 +22,14 @@ across a link between two nodes (:class:`RelParams`).
 from __future__ import annotations
 
 import csv
+import functools
+import importlib.machinery
+import importlib.util
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 logger = logging.getLogger(__name__)
 
@@ -251,26 +256,42 @@ def ou_step_euler(x, dt: float, p: ClockParams, z):
 # Path generation
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _load_ar1_kernel():
+    """``scipy.signal._sigtools._linear_filter``, loaded without running
+    ``scipy/signal/__init__.py``, on the first call only.
+
+    ``lfilter(b, a, x, axis)`` with a denominator of two or more taps
+    and no initial state hands its arrays straight to this kernel, so
+    calling it gives ``lfilter``'s bits; importing ``scipy.signal``
+    for it would load some 500 more modules, ``scipy.stats`` among
+    them, in every process.  Only :func:`clock_chunks` calls it, so a
+    scipy without the extension breaks clock generation and nothing
+    else.
+    """
+    import scipy
+
+    package = importlib.util.find_spec("scipy.signal")  # found, not run
+    spec = None if package is None else importlib.machinery.PathFinder.find_spec(
+        "scipy.signal._sigtools", package.submodule_search_locations)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no scipy.signal._sigtools "
+                          "extension, whose _linear_filter runs the clock recursion")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._linear_filter
+
+
 def skew_normalizer(t, p: ClockParams):
     """Deterministic factor c(t) = exp(-(eps^2/4 alpha)(1 - exp(-2 alpha t))).
 
     Multiplying ``exp(X(t))`` by this factor keeps the mean skew at one
-    for every ``t``.  Once exp(-2 alpha t) <= 2^-55 (a bit below 2^-54),
-    1 - exp(-2 alpha t) rounds to exactly 1, so those times of an array
-    take the limit without evaluating the formula, bit for bit the same.
+    for every ``t``.  A scalar time gives a float, an array an array.
     """
-    t = np.asarray(t, dtype=float)
     rate = -0.25 * p.epsilon**2 / p.alpha
-    settle = 27.5 * math.log(2.0) / p.alpha
-    if t.ndim == 0 or np.max(t, initial=-math.inf) < settle:  # nothing settled
-        out = np.exp(rate * (1.0 - np.exp(-2.0 * p.alpha * t)))
-        return float(out) if t.ndim == 0 else out
-    # numpy's exp, as in the formula: math.exp may differ in the last bit
-    out = np.full(t.shape, np.exp(np.array([rate]))[0])
-    moving = t < settle
-    if moving.any():
-        out[moving] = np.exp(rate * (1.0 - np.exp(-2.0 * p.alpha * t[moving])))
-    return out
+    if not isinstance(t, np.ndarray) or t.ndim == 0:
+        return float(np.exp(rate * (1.0 - np.exp(-2.0 * p.alpha * float(t)))))
+    return np.exp(rate * (1.0 - np.exp(-2.0 * p.alpha * np.asarray(t, dtype=float))))
 
 
 def clock_chunks(params, dt: float, n_steps: int, normals, chunk_steps: int):
@@ -278,7 +299,10 @@ def clock_chunks(params, dt: float, n_steps: int, normals, chunk_steps: int):
 
     Row r follows ``params[r]`` from ``X = 0``, ``a = 1``, ``tau = 0``:
     the exact transition driven by ``normals(k)``, an ``(m, k)`` array
-    of standard normals for the next ``k`` steps; skews ``c(t) exp(X)``;
+    of standard normals for the next ``k`` steps, as an AR(1) recursion
+    run by the C kernel of ``scipy.signal.lfilter`` (loaded alone, see
+    :func:`_load_ar1_kernel`); skews ``c(t) exp(X)``, a chunk that
+    starts at or past the settle time taking each row's limit of c(t);
     displays by the trapezoidal rule.  Yields ``(states, skews,
     displays)``, each ``(m, width)``, with grid point g in chunk
     ``g // chunk_steps`` at column ``g % chunk_steps``.  The state, skew
@@ -305,6 +329,12 @@ def clock_chunks(params, dt: float, n_steps: int, normals, chunk_steps: int):
     kinds = [params[i] for i in first]
     decay = ou_transition(kinds[0], dt)[0]
     noise_std = np.array([ou_transition(p, dt)[1] for p in kinds])[row_of][:, None]
+    ar1, num, den = _load_ar1_kernel(), np.array([1.0]), np.array([1.0, -decay])
+    # From the settle time on exp(-2 alpha t) <= 2^-55, so 1 - exp(-2 alpha t)
+    # rounds to 1 and c(t) is its limit exp(-eps^2 / (4 alpha)) bit for bit
+    # (numpy's exp, as in the formula: math.exp may differ in the last bit).
+    settle = 27.5 * math.log(2.0) / kinds[0].alpha
+    limit = np.exp(np.array([-0.25 * p.epsilon**2 / p.alpha for p in kinds]))[row_of][:, None]
     m = len(params)
     # every chunk's skews and displays are contiguous views of these two
     size = m * (min(chunk_steps, n_steps) + 1)
@@ -316,12 +346,15 @@ def clock_chunks(params, dt: float, n_steps: int, normals, chunk_steps: int):
         u = u_buf[:m * (k + 1)].reshape(m, k + 1)
         u[:, 0] = x
         np.multiply(noise_std, normals(k), out=u[:, 1:])
-        states = lfilter([1.0], [1.0, -decay], u, axis=1)  # x_j = decay x_{j-1} + u_j
+        states = ar1(num, den, u, 1)  # x_j = decay x_{j-1} + u_j
         skews = np.exp(states, out=skew_buf[:m * (k + 1)].reshape(m, k + 1))
         skews[:, 0] = a
-        c = [skew_normalizer((done + 1 + np.arange(k)) * dt, p) for p in kinds]
-        for r, c_r in enumerate(c):
-            np.multiply(skews[:, 1:], c_r, out=skews[:, 1:], where=(row_of == r)[:, None])
+        if (done + 1) * dt >= settle:  # the chunk's first time: all of it settled
+            skews[:, 1:] *= limit
+        else:
+            c = [skew_normalizer((done + 1 + np.arange(k)) * dt, p) for p in kinds]
+            for r, c_r in enumerate(c):
+                np.multiply(skews[:, 1:], c_r, out=skews[:, 1:], where=(row_of == r)[:, None])
         seg = np.add(skews[:, 1:], skews[:, :-1], out=u[:, 1:])  # u is spent
         seg *= 0.5 * dt
         seg[:, :1] += tau[:, None]  # no column when k == 0

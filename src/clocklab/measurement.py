@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from clocklab.clocks import RelParams
 
@@ -112,6 +111,8 @@ class DelayModel:
             return 0.0
         if self.kind == "uniform":
             return self.spread**2 / 3.0
+        from scipy.stats import truncnorm  # on demand: scipy.stats is slow to load
+
         a = (0.0 - self.mean) / self.spread
         b = (self.bound - self.mean) / self.spread
         return float(truncnorm.var(a, b, loc=self.mean, scale=self.spread))
@@ -124,6 +125,8 @@ def draw_delay(m: DelayModel, rng: np.random.Generator, size: int | None = None)
     if m.kind == "uniform":
         out = rng.uniform(m.mean - m.spread, m.mean + m.spread, size)
         return float(out) if size is None else out
+    from scipy.stats import truncnorm  # on demand, as in DelayModel.variance
+
     a = (0.0 - m.mean) / m.spread
     b = (m.bound - m.mean) / m.spread
     out = truncnorm.rvs(a, b, loc=m.mean, scale=m.spread, size=size, random_state=rng)

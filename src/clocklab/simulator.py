@@ -756,6 +756,16 @@ class _Send:
 # Slots of ground truth per node in one engine chunk.  The loop keeps no
 # chunk's states, so at most three chunk arrays are alive at any time.
 _CHUNK_STEPS = 4096
+# Delays drawn at once.  A block of draws is bit for bit the same values,
+# in order, as that many single draws (uniform and truncated-normal alike),
+# and scipy's truncated-normal sampler costs mostly per call, not per value.
+_DELAY_BLOCK = 256
+
+
+def _delays(m: DelayModel, rng: np.random.Generator):
+    """The delay draws of ``rng``, one per ``next``, drawn in blocks."""
+    while True:
+        yield from draw_delay(m, rng, size=_DELAY_BLOCK).tolist()
 
 
 def run_scenario(sc: Scenario):
@@ -777,7 +787,7 @@ def run_scenario(sc: Scenario):
     clock_rngs = [np.random.default_rng(int(c.generate_state(1, np.uint64)[0]))
                   for c in children[: sc.graph.n + 1]]
     rng_sched = np.random.default_rng(children[sc.graph.n + 1])
-    rng_delay = np.random.default_rng(children[sc.graph.n + 2])
+    delays = _delays(sc.delay, np.random.default_rng(children[sc.graph.n + 2]))
     rng_mac = np.random.default_rng(children[sc.graph.n + 3])
 
     # Node m's clock is the simulate_clock path of its seed, streamed: the
@@ -895,7 +905,7 @@ def run_scenario(sc: Scenario):
             for s in dropped:
                 del deadlines[s.xid]
             for s in sorted(admitted, key=lambda x: x.xid):
-                delay_t = float(draw_delay(sc.delay, rng_delay))
+                delay_t = next(delays)
                 dslots = max(1, int(round(delay_t / sc.dt)))
                 arrive_slot = slot + dslots
                 s.payload = (stamp(s.src, slot), slot, dslots * sc.dt)

@@ -91,6 +91,72 @@ def test_console_script_installed():
         assert b"simulate" in proc.stdout, proc.stderr.decode(errors="replace")
 
 
+_NO_AR1_KERNEL_CHILD = """
+import importlib.machinery
+
+find_spec = importlib.machinery.PathFinder.find_spec
+importlib.machinery.PathFinder.find_spec = staticmethod(
+    lambda name, *rest: None if name == "scipy.signal._sigtools" else find_spec(name, *rest))
+
+from clocklab.cli import main
+from clocklab.clocks import ClockParams, sample_displays
+
+try:
+    main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+try:
+    sample_displays(ClockParams(10.0, 1.0), 0.1, 3, 1e-3, 0)
+except ImportError as exc:
+    print(exc)
+"""
+
+
+def test_only_clock_generation_needs_the_ar1_kernel():
+    # A scipy without scipy.signal._sigtools still imports the package and
+    # prints the help; generating a clock raises the ImportError.
+    src = str(Path(clocklab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NO_AR1_KERNEL_CHILD],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert b"simulate" in proc.stdout
+    assert b"has no scipy.signal._sigtools extension" in proc.stdout
+
+
+_NO_SCIPY_SIGNAL_CHILD = """
+import sys
+from dataclasses import replace
+
+import clocklab.cli  # the imports of every subcommand
+from clocklab.clocks import ClockParams, sample_displays
+from clocklab.simulator import read_scenario, run_scenario, trace_replay
+
+sc = replace(read_scenario(sys.argv[1]), horizon=1.0)
+assert sc.delay.kind == "uniform"
+for protocol in ("SS", "Hybrid", "MBCSP"):
+    run = replace(sc, protocol=protocol)
+    rows = run_scenario(run)[1]
+    assert rows
+    trace_replay(rows, run)
+sample_displays(ClockParams(10.0, 1.0), 0.1, 30, 1e-3, 0)
+print(" ".join(m for m in sys.modules if m == "scipy.signal" or m.startswith("scipy.stats")))
+"""
+
+
+def test_cli_and_uniform_runs_load_neither_scipy_signal_nor_stats():
+    # A fresh process: the test session itself has imported both.
+    src = str(Path(clocklab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SIGNAL_CHILD, str(SCENARIOS / "two-node.scenario")],
+        capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout.decode().split() == []
+
+
 # ------------------------------------------------------------------ simulate
 
 

@@ -7,6 +7,7 @@ test).
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -225,9 +226,35 @@ def test_clock_chunks_mixed_batch_chunking_invariance():
 
     want = whole(n_steps + 1)
     assert want[0].shape == (5, n_steps + 1)
-    for chunk_steps in (1, 7, 4096):
+    # 1907 is the first slot at or past the settle time 27.5 ln 2 / alpha,
+    # so its chunks take the settled limits while the reference's one
+    # chunk takes the formula on those slots.
+    assert (1906 * 1e-3 < 27.5 * math.log(2.0) / 10.0 <= 1907 * 1e-3)
+    for chunk_steps in (1, 7, 1907, 4096):
         for got, ref in zip(whole(chunk_steps), want):
             assert got.tobytes() == ref.tobytes(), chunk_steps
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 65_537), (10, 4_097), (300, 4_097)])
+def test_ar1_kernel_is_lfilter_bit_for_bit(shape):
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(shape[0] * shape[1])
+    for decay in (math.exp(-1e-2), math.exp(-1e-4), 1.0 - 2.0**-52):
+        u = rng.standard_normal(shape)
+        want = lfilter([1.0], [1.0, -decay], u, axis=1)
+        got = clocks._load_ar1_kernel()(np.array([1.0]), np.array([1.0, -decay]), u, 1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (shape, decay)
+
+
+def test_missing_ar1_kernel_is_an_import_error_naming_scipy(monkeypatch):
+    import scipy
+
+    monkeypatch.setattr(clocks.importlib.machinery.PathFinder, "find_spec",
+                        lambda *args: None)
+    with pytest.raises(ImportError, match=re.escape(f"scipy {scipy.__version__} has no")):
+        clocks._load_ar1_kernel.__wrapped__()  # past the cache of the loaded kernel
 
 
 def test_sample_displays_memory_stays_at_a_few_chunks():
@@ -242,8 +269,10 @@ def test_sample_displays_memory_stays_at_a_few_chunks():
 # ---------------------------------------------------------------------------
 
 def test_skew_normalizer_settled_limit_is_bit_identical():
-    # Past the settle time the normalizer is filled with its limit; it
-    # must equal the unshortened formula in every bit, on both sides.
+    # clock_chunks multiplies a chunk that starts at or past the settle
+    # time by the limit exp(-eps^2 / (4 alpha)) instead of the formula;
+    # the formula must give that limit in every bit from there on, and
+    # must not give it just before.
     for alpha in (0.1, 1.0, 66.4, 1000.0):
         settle = 27.5 * math.log(2.0) / alpha
         t = np.linspace(0.0, 2.0 * settle, 200_001)
@@ -251,9 +280,23 @@ def test_skew_normalizer_settled_limit_is_bit_identical():
             p = ClockParams(alpha, epsilon)
             full = np.exp(-0.25 * epsilon**2 / alpha * (1.0 - np.exp(-2.0 * alpha * t)))
             assert np.array_equal(skew_normalizer(t, p), full), (alpha, epsilon)
-            # no time settled: the formula alone, on every slot
-            moving = t[t < settle]
-            assert np.array_equal(skew_normalizer(moving, p), full[t < settle])
+            limit = np.exp(np.array([-0.25 * epsilon**2 / alpha]))[0]
+            assert np.all(full[t >= settle] == limit), (alpha, epsilon)
+
+
+def test_skew_normalizer_float_path_matches_the_array_path():
+    # 10^5 times on both sides of the settle time, each as a float and
+    # inside an array.
+    rng = np.random.default_rng(7)
+    for alpha, epsilon in ((10.0, 1.0), (0.1, 3.0), (1000.0, 0.3)):
+        p = ClockParams(alpha, epsilon)
+        settle = 27.5 * math.log(2.0) / alpha
+        t = np.concatenate([[0.0, settle, np.nextafter(settle, 0.0)],
+                            rng.uniform(0.0, 2.0 * settle, 100_000)])
+        want = skew_normalizer(t, p)
+        got = np.array([skew_normalizer(float(v), p) for v in t])
+        assert type(skew_normalizer(float(t[-1]), p)) is float
+        assert got.tobytes() == want.tobytes(), (alpha, epsilon)
 
 
 def test_ou_variance_closed_form():

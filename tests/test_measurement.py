@@ -60,6 +60,20 @@ def test_truncated_normal_delay():
     assert m.variance == pytest.approx(d.var(ddof=1), rel=0.05)
 
 
+@pytest.mark.parametrize("m, count", [
+    (DelayModel("uniform", mean=5e-3, spread=5e-5), 2048),
+    (DelayModel("truncated-normal", mean=5e-3, spread=3e-3), 1024),
+])
+def test_delay_blocks_are_the_single_draws(m, count):
+    # The simulator draws its delays in blocks of 256 and hands them out
+    # in order; that must be the stream of one draw per packet.
+    single, block = np.random.default_rng(8), np.random.default_rng(8)
+    one_by_one = [draw_delay(m, single) for _ in range(count)]
+    blocks = np.concatenate([draw_delay(m, block, size=256) for _ in range(count // 256)])
+    assert np.array(one_by_one).tobytes() == blocks.tobytes()
+    assert single.random() == block.random()
+
+
 def test_delay_model_validation():
     with pytest.raises(ValueError):
         DelayModel("exponential", mean=1e-3)
