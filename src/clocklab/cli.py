@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -136,6 +137,8 @@ def _simulate_one(task):
 
 
 def _cmd_simulate(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     outdir = Path(args.out)
     over = {key: value for key, value in (("protocol", args.protocol), ("horizon", args.horizon))
             if value is not None}
@@ -153,7 +156,8 @@ def _cmd_simulate(args) -> int:
             tasks.append((replace(sc, seed=seed, **over), name, str(outdir)))
     outdir.mkdir(parents=True, exist_ok=True)
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a fork-started pool starts every worker up front: no idle ones
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_simulate_one, tasks))
     else:
         results = [_simulate_one(t) for t in tasks]
@@ -272,6 +276,8 @@ def _read_relative_csv(path) -> dict[tuple[int, int], float]:
 
 
 def _cmd_smooth(args) -> int:
+    if args.max_iter < 0:  # smooth() rejects it too, by its parameter name
+        raise ValueError(f"--max-iter must be nonnegative, got {args.max_iter}")
     values = _read_relative_csv(args.estimates)
     n = args.nodes if args.nodes is not None else max(max(e) for e in values)
     g = SyncGraph(n=n, edges=tuple(values.keys()))
@@ -297,8 +303,8 @@ def _cmd_smooth(args) -> int:
 
 def _cmd_degrade(args) -> int:
     sc = read_scenario(args.scenario)
-    if not args.period > 0:
-        raise ValueError(f"period must be positive, got {args.period!r}")
+    if not (math.isfinite(args.period) and args.period > 0):
+        raise ValueError(f"period must be positive and finite, got {args.period!r}")
     if args.count is not None and args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     steps = args.count if args.count is not None else int(round(sc.horizon / args.period))
@@ -323,7 +329,8 @@ def _cmd_degrade(args) -> int:
             net_predict_rows(dist, every)
             net_update_distributed(dist, m)
             tr_o, tr_d = float(np.trace(opt.P)), float(np.trace(dist.P))
-            handle.write(f"{t_k:.17g},{tr_o:.17g},{tr_d:.17g},{tr_d / tr_o:.17g}\n")
+            ratio = tr_d / tr_o if tr_o else math.nan  # no uncertainty to compare
+            handle.write(f"{t_k:.17g},{tr_o:.17g},{tr_d:.17g},{ratio:.17g}\n")
     finally:
         if close:
             handle.close()

@@ -294,33 +294,36 @@ def skew_normalizer(t, p: ClockParams):
     return np.exp(rate * (1.0 - np.exp(-2.0 * p.alpha * np.asarray(t, dtype=float))))
 
 
-def clock_chunks(params, dt: float, n_steps: int, normals, chunk_steps: int):
+def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
     """Stream grid points 0..n_steps of a batch of clocks that share ``alpha``.
 
     Row r follows ``params[r]`` from ``X = 0``, ``a = 1``, ``tau = 0``:
-    the exact transition driven by ``normals(k)``, an ``(m, k)`` array
-    of standard normals for the next ``k`` steps, as an AR(1) recursion
-    run by the C kernel of ``scipy.signal.lfilter`` (loaded alone, see
-    :func:`_load_ar1_kernel`); skews ``c(t) exp(X)``, a chunk that
-    starts at or past the settle time taking each row's limit of c(t);
-    displays by the trapezoidal rule.  Yields ``(states, skews,
-    displays)``, each ``(m, width)``, with grid point g in chunk
+    the exact transition driven by generator ``rngs[r]`` (a chunk of
+    ``k`` new steps draws ``k`` normals per row, rows in order), as an
+    AR(1) recursion run by the C kernel of ``scipy.signal.lfilter``
+    (loaded alone, see :func:`_load_ar1_kernel`); skews ``c(t) exp(X)``,
+    a chunk that starts at or past the settle time taking each row's
+    limit of c(t); displays by the trapezoidal rule.  Yields ``(states,
+    skews, displays)``, each ``(m, width)``, with grid point g in chunk
     ``g // chunk_steps`` at column ``g % chunk_steps``.  The state, skew
     and display reached are carried across chunks, so the chunk length
     changes no value, bit for bit.
 
     Memory: a caller that drops each chunk before asking for the next
-    keeps at most three chunk arrays alive.  The skews and displays of
-    every chunk are views of two buffers of the widest chunk, allocated
-    once (the displays are summed in place over the spent trapezoid
-    buffer); only the states are fresh, and the generator drops them
-    before it makes the next chunk.  So asking for the next chunk
-    overwrites the skews and displays of the last: copy what must
-    outlive it.  Reusing the buffers also keeps the allocator from
-    handing memory back each chunk only to fault it in again.
+    keeps at most three chunk arrays alive.  The normals, skews and
+    displays of every chunk are views of two buffers of the widest
+    chunk, allocated once (the normals are drawn and scaled in place,
+    and the displays summed in place over them once spent); only the
+    states are fresh, and the generator drops them before it makes the
+    next chunk.  So asking for the next chunk overwrites the skews and
+    displays of the last: copy what must outlive it.  Reusing the
+    buffers also keeps the allocator from handing memory back each
+    chunk only to fault it in again.
     """
     if chunk_steps < 1:
         raise ValueError(f"chunk_steps must be at least 1, got {chunk_steps!r}")
+    if len(rngs) != len(params):
+        raise ValueError(f"need one generator per clock: {len(rngs)} for {len(params)}")
     if len({p.alpha for p in params}) != 1:
         raise ValueError("clocks in one batch must share alpha")
     # transition and normalizer once per distinct epsilon
@@ -345,7 +348,9 @@ def clock_chunks(params, dt: float, n_steps: int, normals, chunk_steps: int):
         # column 0 is grid point ``done``, the last one generated
         u = u_buf[:m * (k + 1)].reshape(m, k + 1)
         u[:, 0] = x
-        np.multiply(noise_std, normals(k), out=u[:, 1:])
+        for rng, row in zip(rngs, u):
+            rng.standard_normal(out=row[1:])
+        u[:, 1:] *= noise_std
         states = ar1(num, den, u, 1)  # x_j = decay x_{j-1} + u_j
         skews = np.exp(states, out=skew_buf[:m * (k + 1)].reshape(m, k + 1))
         skews[:, 0] = a
@@ -394,39 +399,38 @@ def simulate_clock(p: ClockParams, horizon: float, dt: float, seed: int) -> Cloc
     if not dt > 0:
         raise ValueError(f"step must be positive, got {dt!r}")
     n_steps = max(1, int(round(horizon / dt)))
-    rng = np.random.default_rng(seed)
     (states, skews, displays), = clock_chunks(
-        [p], dt, n_steps, lambda k: rng.standard_normal((1, k)), n_steps + 1)
+        [p], dt, n_steps, [np.random.default_rng(seed)], n_steps + 1)
     return ClockTrajectory(dt=dt, states=states[0], skews=skews[0],
                            displays=displays[0], seed=seed)
 
 
-def sample_displays(p: ClockParams, spacing: float, count: int, dt: float, seed: int,
-                    chunk_steps: int = 65_536) -> np.ndarray:
+# Chunk of sample_displays: 65 536 points make each of the three live
+# chunk arrays 512 KB, small enough to stay in cache.  10 000 windows of
+# 1 s at dt = 1e-3 trace a 3 MiB peak, against 70 MiB with 1 000 000-point
+# chunks, and take 0.33 s against 0.44 s (one core of a 2-CPU x86 host);
+# 4 096-point chunks lose that gain to per-chunk overhead (0.47 s).
+_DISPLAY_CHUNK_STEPS = 65_536
+
+
+def sample_displays(p: ClockParams, spacing: float, count: int, dt: float,
+                    seed: int) -> np.ndarray:
     """Display values tau(0), tau(spacing), ..., tau(count*spacing).
 
-    Streams the path through :func:`clock_chunks`, ``chunk_steps``
-    grid points at a time (the path that :func:`simulate_clock` returns
-    whole for the same seed), so that long horizons (used by empirical
+    Streams the path through :func:`clock_chunks`, 65 536 grid points
+    at a time (the path that :func:`simulate_clock` returns whole for
+    the same seed), so that long horizons (used by empirical
     Allan-variance estimation) never materialize the full path.
     ``spacing`` must be an integer multiple of ``dt``.
-
-    The default chunk of 65 536 points makes each of the three live
-    chunk arrays 512 KB, small enough to stay in cache: 10 000 windows
-    of 1 s at dt = 1e-3 trace a 3 MiB peak, against 70 MiB with
-    1 000 000-point chunks, and take 0.33 s against 0.44 s (one core of
-    a 2-CPU x86 host).  4 096-point chunks lose that gain to per-chunk
-    overhead (0.47 s).
     """
     if not (spacing > 0 and dt > 0 and count >= 1):
         raise ValueError("spacing, dt must be positive and count >= 1")
     per = int(round(spacing / dt))
     if per < 1 or abs(per * dt - spacing) > 1e-9 * spacing:
         raise ValueError(f"spacing {spacing!r} is not a multiple of dt {dt!r}")
-    rng = np.random.default_rng(seed)
     kept, start = [], 0
-    for _, _, displays in clock_chunks([p], dt, per * count,
-                                       lambda k: rng.standard_normal((1, k)), chunk_steps):
+    for _, _, displays in clock_chunks([p], dt, per * count, [np.random.default_rng(seed)],
+                                       _DISPLAY_CHUNK_STEPS):
         kept.append(displays[0, -start % per::per].copy())
         start += displays.shape[1]
     return np.concatenate(kept)

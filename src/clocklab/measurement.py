@@ -118,19 +118,19 @@ class DelayModel:
         return float(truncnorm.var(a, b, loc=self.mean, scale=self.spread))
 
 
-def draw_delay(m: DelayModel, rng: np.random.Generator, size: int | None = None):
-    """Draw one delay (or ``size`` of them) from the model."""
+def draw_delay(m: DelayModel, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The next ``size`` delays from the model, as an array: bit for bit
+    the values, in order, of ``size`` draws of one, leaving ``rng`` in
+    the same state."""
     if m.kind == "constant":
-        return m.mean if size is None else np.full(size, m.mean)
+        return np.full(size, m.mean)
     if m.kind == "uniform":
-        out = rng.uniform(m.mean - m.spread, m.mean + m.spread, size)
-        return float(out) if size is None else out
+        return rng.uniform(m.mean - m.spread, m.mean + m.spread, size)
     from scipy.stats import truncnorm  # on demand, as in DelayModel.variance
 
     a = (0.0 - m.mean) / m.spread
     b = (m.bound - m.mean) / m.spread
-    out = truncnorm.rvs(a, b, loc=m.mean, scale=m.spread, size=size, random_state=rng)
-    return float(out) if size is None else out
+    return truncnorm.rvs(a, b, loc=m.mean, scale=m.spread, size=size, random_state=rng)
 
 
 @dataclass(slots=True)

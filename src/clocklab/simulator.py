@@ -395,9 +395,12 @@ class TraceRow:
     """One delivered packet: its stamps and, in a live run's trace, the
     ground truth (true send time and delay) that replay does not read.
 
-    Treated as read-only.  It is not frozen: a frozen dataclass sets
-    each field through ``object.__setattr__``, which makes building a
-    row several times slower than with plain slots.
+    The live engine sends a packet as its row, with NaN stamps: the MAC
+    admission fills ``s_stamp``, ``true_send_t`` and ``true_delay``, and
+    the arrival fills ``r_stamp`` and traces the row.  A traced row is
+    read-only.  It is not frozen: a frozen dataclass sets each field
+    through ``object.__setattr__``, which makes building a row several
+    times slower than with plain slots.
     """
 
     kind: str
@@ -744,21 +747,12 @@ class ProtocolMachine:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _Send:
-    src: int
-    dst: int
-    kind: str
-    xid: int
-    payload: tuple = ()
-
-
 # Slots of ground truth per node in one engine chunk.  The loop keeps no
 # chunk's states, so at most three chunk arrays are alive at any time.
 _CHUNK_STEPS = 4096
-# Delays drawn at once.  A block of draws is bit for bit the same values,
-# in order, as that many single draws (uniform and truncated-normal alike),
-# and scipy's truncated-normal sampler costs mostly per call, not per value.
+# Delays drawn at once (see draw_delay: any block size gives the same
+# values in order); scipy's truncated-normal sampler costs mostly per
+# call, not per value.
 _DELAY_BLOCK = 256
 
 
@@ -795,13 +789,7 @@ def run_scenario(sc: Scenario):
     # so one chunk (slots start..stop-1) is held at a time.
     n_slots = max(1, int(round(sc.horizon / sc.dt)))
 
-    def normals(k):  # each node's own draws, filled in place: no stacked copy
-        z = np.empty((len(clock_rngs), k))
-        for rng, row in zip(clock_rngs, z):
-            rng.standard_normal(out=row)
-        return z
-
-    clocks = clock_chunks(sc.params, sc.dt, n_slots, normals, _CHUNK_STEPS)
+    clocks = clock_chunks(sc.params, sc.dt, n_slots, clock_rngs, _CHUNK_STEPS)
     start = stop = 0
     dlinks = sc.directed_links
     machine = ProtocolMachine(sc)
@@ -844,28 +832,26 @@ def run_scenario(sc: Scenario):
             machine.offset_estimate(node, tau_now, a_node), a_node,
         ))
 
-    def handle_arrival(slot, send: _Send):
+    def packet(kind, src, dst, seq):  # its trace row, stamped as it goes
+        return TraceRow(kind, src, dst, seq, math.nan, math.nan)
+
+    def handle_arrival(slot, row: TraceRow):
         nonlocal timeouts
-        deadline = deadlines.get(send.xid)
+        deadline = deadlines.get(row.seq)
         if deadline is None:
             return
         if slot > deadline:
-            del deadlines[send.xid]
+            del deadlines[row.seq]
             timeouts += 1
             return
-        s_stamp, send_slot, delay_t = send.payload
-        row = TraceRow(
-            kind=send.kind, src=send.src, dst=send.dst, seq=send.xid,
-            s_stamp=s_stamp, r_stamp=stamp(send.dst, slot),
-            true_send_t=send_slot * sc.dt, true_delay=delay_t,
-        )
+        row.r_stamp = stamp(row.dst, slot)
         trace.append(row)
         reply, refreshed = machine.deliver(row)
         if refreshed:
             record_sample(row.dst, slot)
         if reply is not None:
             gap = sc.roundtrip_gap if reply == "off-rep" else 1
-            push(slot + gap, "send", _Send(row.dst, row.src, reply, row.seq))
+            push(slot + gap, "send", packet(reply, row.dst, row.src, row.seq))
         elif row.kind != "skew-a":  # after skew-a, skew-b is still to come
             del deadlines[row.seq]
 
@@ -885,32 +871,31 @@ def run_scenario(sc: Scenario):
                 sends.append(data)
             else:
                 starts.append(kind)
-        for send in arrivals:
-            handle_arrival(slot, send)
+        for row in arrivals:
+            handle_arrival(slot, row)
         for kind in starts:
             p_kind = p_skew if kind == "start-skew" else p_off
             src, dst = dlinks[int(rng_sched.integers(len(dlinks)))]
             xid_counter += 1
             deadlines[xid_counter] = slot + timeout_slots
             if kind == "start-skew":
-                sends.append(_Send(src, dst, "skew-a", xid_counter))
-                push(slot + sc.skew_gap, "send", _Send(src, dst, "skew-b", xid_counter))
+                sends.append(packet("skew-a", src, dst, xid_counter))
+                push(slot + sc.skew_gap, "send", packet("skew-b", src, dst, xid_counter))
             else:
-                sends.append(_Send(src, dst, "off-req", xid_counter))
+                sends.append(packet("off-req", src, dst, xid_counter))
             push(slot + int(rng_sched.geometric(p_kind)), kind, None)
         if sends:
-            live = [s for s in sends if s.xid in deadlines]
+            live = [row for row in sends if row.seq in deadlines]
             admitted, dropped = mac_arbitrate(live, rng_mac)
             collisions += len(dropped)
-            for s in dropped:
-                del deadlines[s.xid]
-            for s in sorted(admitted, key=lambda x: x.xid):
-                delay_t = next(delays)
-                dslots = max(1, int(round(delay_t / sc.dt)))
-                arrive_slot = slot + dslots
-                s.payload = (stamp(s.src, slot), slot, dslots * sc.dt)
-                if arrive_slot <= n_slots:
-                    push(arrive_slot, "arrive", s)
+            for row in dropped:
+                del deadlines[row.seq]
+            for row in sorted(admitted, key=lambda r: r.seq):
+                dslots = max(1, int(round(next(delays) / sc.dt)))
+                row.s_stamp = stamp(row.src, slot)
+                row.true_send_t, row.true_delay = slot * sc.dt, dslots * sc.dt
+                if slot + dslots <= n_slots:
+                    push(slot + dslots, "arrive", row)
 
     report = compute_metrics(samples, machine.pred_pairs)
     report = replace(report, collisions=collisions,

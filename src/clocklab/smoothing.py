@@ -204,6 +204,8 @@ def smooth(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     if schedule not in ("sweep", "random"):
         raise ValueError(f"unknown schedule {schedule!r}")
     _edge_vector(g, rel)  # validate coverage up front

@@ -28,8 +28,7 @@ def batch_paths(p: ClockParams, times, n_paths: int, dt: float, seed: int,
     done = 0
     while done < n_paths:
         m = min(chunk, n_paths - done)
-        (states, skews, displays), = clock_chunks(
-            [p] * m, dt, n_steps, lambda k: rng.standard_normal((m, k)), n_steps + 1)
+        (states, skews, displays), = clock_chunks([p] * m, dt, n_steps, [rng] * m, n_steps + 1)
         for k, t in record.items():
             out[t].append((states[:, k].copy(), skews[:, k].copy(),
                            displays[:, k].copy()))

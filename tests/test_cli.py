@@ -293,6 +293,36 @@ def test_simulate_repeated_seed_exits_two(fast_scenario, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_simulate_rejects_fewer_than_one_job(fast_scenario, tmp_path, capsys, jobs):
+    out = tmp_path / "runs"
+    assert main(["simulate", str(fast_scenario), "--out", str(out), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert f"--jobs must be at least 1, got {jobs}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_simulate_starts_no_more_workers_than_runs(fast_scenario, tmp_path, monkeypatch):
+    started = []
+
+    class InProcessPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(clocklab.cli, "ProcessPoolExecutor", InProcessPool)
+    assert main(["simulate", str(fast_scenario), "--out", str(tmp_path / "runs"),
+                 "--seed", "1,2", "--jobs", "64"]) == 0
+    assert started == [2]
+
+
 def test_simulate_shared_stem_exits_two(fast_scenario, tmp_path, capsys):
     other = tmp_path / "other" / "fast.scenario"
     other.parent.mkdir()
@@ -588,6 +618,15 @@ def test_smooth_malformed_input_exits_two(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_smooth_negative_max_iter_exits_two(tmp_path, capsys):
+    rel = tmp_path / "rel.csv"
+    rel.write_text("0,1,1.0\n")
+    assert main(["smooth", str(rel), "--max-iter", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-iter must be nonnegative, got -1" in captured.err
+    assert "sweeps" not in captured.err and captured.out == ""
+
+
 # ------------------------------------------------------------------- degrade
 
 
@@ -616,6 +655,28 @@ def test_degrade_bad_period_exits_two(capsys):
     assert main(["degrade", str(SCENARIOS / "two-node.scenario"),
                  "--period", "-1"]) == 2
     assert "period" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("period", ["inf", "nan"])
+def test_degrade_non_finite_period_exits_two(capsys, period):
+    assert main(["degrade", str(SCENARIOS / "two-node.scenario"),
+                 "--period", period, "--count", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "period must be positive and finite" in captured.err and captured.out == ""
+
+
+def test_degrade_zero_optimal_trace_writes_nan_ratio(tmp_path, capsys):
+    # A noiseless clock, and a period so short that the decay rounds to
+    # 1, each leave the optimal covariance at zero: no ratio to report.
+    quiet = tmp_path / "quiet.scenario"
+    quiet.write_text((SCENARIOS / "two-node.scenario").read_text().replace(
+        "epsilon_1 = 1.0", "epsilon_1 = 0.0"))
+    for args in ([str(quiet)], [str(SCENARIOS / "two-node.scenario"), "--period", "1e-18"]):
+        assert main(["degrade", *args, "--count", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert row.split(",")[1:] == ["0", "0", "nan"]
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

@@ -191,20 +191,20 @@ def test_simulate_clock_unbiased_display():
     assert abs(finals.mean() - 5.0) < 3 * sem(finals)
 
 
-def test_sample_displays_matches_simulate_clock():
+def test_sample_displays_matches_simulate_clock(monkeypatch):
     direct = simulate_clock(P10_1, horizon=0.5, dt=0.001, seed=99)
     sampled = sample_displays(P10_1, spacing=0.05, count=10, dt=0.001, seed=99)
     np.testing.assert_array_equal(sampled, direct.displays[::50])
-    sampled = sample_displays(P10_1, spacing=0.05, count=10, dt=0.001, seed=99,
-                              chunk_steps=77)
+    monkeypatch.setattr(clocks, "_DISPLAY_CHUNK_STEPS", 77)
+    sampled = sample_displays(P10_1, spacing=0.05, count=10, dt=0.001, seed=99)
     np.testing.assert_array_equal(sampled, direct.displays[::50])
 
 
-def test_sample_displays_chunking_invariance():
+def test_sample_displays_chunking_invariance(monkeypatch):
     b = sample_displays(P10_1, spacing=0.1, count=5, dt=0.001, seed=3)
     for chunk_steps in (1, 7, 100, 128):
-        a = sample_displays(P10_1, spacing=0.1, count=5, dt=0.001, seed=3,
-                            chunk_steps=chunk_steps)
+        monkeypatch.setattr(clocks, "_DISPLAY_CHUNK_STEPS", chunk_steps)
+        a = sample_displays(P10_1, spacing=0.1, count=5, dt=0.001, seed=3)
         np.testing.assert_array_equal(a, b)
 
 
@@ -216,12 +216,8 @@ def test_clock_chunks_mixed_batch_chunking_invariance():
 
     def whole(chunk_steps):
         rngs = [np.random.default_rng(s) for s in range(len(params))]
-
-        def normals(k):
-            return np.stack([rng.standard_normal(k) for rng in rngs])
-
         chunks = [[a.copy() for a in chunk]  # the next chunk overwrites this one
-                  for chunk in clock_chunks(params, 1e-3, n_steps, normals, chunk_steps)]
+                  for chunk in clock_chunks(params, 1e-3, n_steps, rngs, chunk_steps)]
         return [np.concatenate(arrays, axis=1) for arrays in zip(*chunks)]
 
     want = whole(n_steps + 1)
@@ -233,6 +229,28 @@ def test_clock_chunks_mixed_batch_chunking_invariance():
     for chunk_steps in (1, 7, 1907, 4096):
         for got, ref in zip(whole(chunk_steps), want):
             assert got.tobytes() == ref.tobytes(), chunk_steps
+
+
+def test_clock_chunks_shared_generator_draws_rows_in_turn():
+    # One chunk of m clocks driven by [rng] * m is the recursion over
+    # rng.standard_normal((m, k)): row r takes the r-th k normals.
+    params, dt, k = [ClockParams(10.0, e) for e in (0.5, 1.0, 0.0, 2.0)], 1e-3, 300
+    shared, ref = np.random.default_rng(21), np.random.default_rng(21)
+    (states, _, _), = clock_chunks(params, dt, k, [shared] * len(params), k + 1)
+    u = np.zeros((len(params), k + 1))
+    u[:, 1:] = ref.standard_normal((len(params), k))
+    u[:, 1:] *= np.array([[ou_transition(p, dt)[1]] for p in params])
+    decay = ou_transition(params[0], dt)[0]
+    want = clocks._load_ar1_kernel()(np.array([1.0]), np.array([1.0, -decay]), u, 1)
+    assert states.tobytes() == want.tobytes()
+    assert shared.random() == ref.random()
+
+
+def test_clock_chunks_needs_one_generator_per_clock():
+    rng = np.random.default_rng(0)
+    for rngs in ([], [rng], [rng] * 3):
+        with pytest.raises(ValueError, match="one generator per clock"):
+            next(clock_chunks([P10_1] * 2, 1e-3, 10, rngs, 4))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 65_537), (10, 4_097), (300, 4_097)])

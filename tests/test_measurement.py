@@ -35,7 +35,7 @@ FLOOR = 1e-6
 def test_constant_delay():
     m = DelayModel("constant", mean=3e-3)
     rng = np.random.default_rng(0)
-    assert draw_delay(m, rng) == 3e-3
+    assert draw_delay(m, rng, size=1).tolist() == [3e-3]
     assert m.variance == 0.0
     assert m.bound == 3e-3
 
@@ -63,14 +63,15 @@ def test_truncated_normal_delay():
 @pytest.mark.parametrize("m, count", [
     (DelayModel("uniform", mean=5e-3, spread=5e-5), 2048),
     (DelayModel("truncated-normal", mean=5e-3, spread=3e-3), 1024),
+    (DelayModel("constant", mean=5e-3), 512),
 ])
 def test_delay_blocks_are_the_single_draws(m, count):
     # The simulator draws its delays in blocks of 256 and hands them out
     # in order; that must be the stream of one draw per packet.
     single, block = np.random.default_rng(8), np.random.default_rng(8)
-    one_by_one = [draw_delay(m, single) for _ in range(count)]
+    one_by_one = np.concatenate([draw_delay(m, single, size=1) for _ in range(count)])
     blocks = np.concatenate([draw_delay(m, block, size=256) for _ in range(count // 256)])
-    assert np.array(one_by_one).tobytes() == blocks.tobytes()
+    assert one_by_one.tobytes() == blocks.tobytes()
     assert single.random() == block.random()
 
 

@@ -660,18 +660,25 @@ def test_run_holds_at_most_three_chunk_arrays():
 
 
 def test_trace_rows_are_well_formed():
-    sc = two_node(seed=2)
-    _, trace = run_scenario(sc)
+    # The engine sends each packet as its row, with NaN stamps that the
+    # MAC admission and the arrival fill: no traced row keeps one, and
+    # no row is traced twice.
     kinds = {"skew-a", "skew-b", "skew-ack", "off-req", "off-rep", "off-ack"}
-    assert trace
-    for row in trace:
-        assert row.kind in kinds
-        assert {row.src, row.dst} == {0, 1}
-        assert row.s_stamp == quantize_stamp(row.s_stamp)
-        assert row.r_stamp == quantize_stamp(row.r_stamp)
-        assert row.true_delay >= sc.dt - 1e-12
-        assert row.true_delay / sc.dt == pytest.approx(round(row.true_delay / sc.dt))
-        assert 0.0 <= row.true_send_t <= sc.horizon
+    for proto in PROTOCOLS:
+        sc = two_node(seed=2, protocol=proto)
+        _, trace = run_scenario(sc)
+        assert trace
+        assert len({id(row) for row in trace}) == len(trace)
+        for row in trace:
+            assert row.kind in kinds
+            assert {row.src, row.dst} == {0, 1}
+            assert all(map(math.isfinite, (row.s_stamp, row.r_stamp,
+                                           row.true_send_t, row.true_delay)))
+            assert row.s_stamp == quantize_stamp(row.s_stamp)
+            assert row.r_stamp == quantize_stamp(row.r_stamp)
+            assert row.true_delay >= sc.dt - 1e-12
+            assert row.true_delay / sc.dt == pytest.approx(round(row.true_delay / sc.dt))
+            assert 0.0 <= row.true_send_t <= sc.horizon
 
 
 @pytest.mark.parametrize("proto", PROTOCOLS)

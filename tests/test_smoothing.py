@@ -250,6 +250,9 @@ def test_smooth_validation():
         smooth(TRIANGLE, rel, tol=0.0)
     with pytest.raises(ValueError, match="unknown schedule"):
         smooth(TRIANGLE, rel, schedule="chaotic")
+    with pytest.raises(ValueError, match="max_iter must be nonnegative, got -1"):
+        smooth(TRIANGLE, rel, max_iter=-1)
+    assert smooth(TRIANGLE, rel, max_iter=0).sweeps == 0
 
 
 def test_nodal_csv(tmp_path):
