@@ -184,6 +184,8 @@ def _cmd_allan(args) -> int:
         if len(t) < 3:
             raise ValueError("trajectory too short for Allan estimation")
         displays, grid_dt = cols["display"], float(t[1] - t[0])
+        if not (math.isfinite(grid_dt) and grid_dt > 0):
+            raise ValueError(f"trajectory time step {grid_dt!r} must be positive and finite")
     elif params is None:
         raise ValueError("need --alpha/--epsilon or --trajectory")
 
@@ -192,7 +194,8 @@ def _cmd_allan(args) -> int:
         analytic = (allan_variance_analytic(T, params)
                     if params is not None else float("nan"))
         if displays is not None:
-            per = int(round(T / grid_dt))
+            steps = T / grid_dt
+            per = int(round(steps)) if math.isfinite(steps) else 0
             if per < 1 or abs(per * grid_dt - T) > 1e-9 * T:
                 raise ValueError(
                     f"interval {T!r} is not a multiple of the trajectory grid {grid_dt!r}"

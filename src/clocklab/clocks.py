@@ -299,15 +299,21 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
 
     Row r follows ``params[r]`` from ``X = 0``, ``a = 1``, ``tau = 0``:
     the exact transition driven by generator ``rngs[r]`` (a chunk of
-    ``k`` new steps draws ``k`` normals per row, rows in order), as an
+    ``k`` new steps draws ``k`` normals per row, rows in order; a row
+    whose transition noise is 0, such as the reference clock's, draws
+    nothing and keeps ``X = +0.0``, ``a = 1.0`` bit for bit), as an
     AR(1) recursion run by the C kernel of ``scipy.signal.lfilter``
     (loaded alone, see :func:`_load_ar1_kernel`); skews ``c(t) exp(X)``,
     a chunk that starts at or past the settle time taking each row's
-    limit of c(t); displays by the trapezoidal rule.  Yields ``(states,
-    skews, displays)``, each ``(m, width)``, with grid point g in chunk
-    ``g // chunk_steps`` at column ``g % chunk_steps``.  The state, skew
-    and display reached are carried across chunks, so the chunk length
-    changes no value, bit for bit.
+    limit of c(t), and a noiseless kind (c(t) = 1) skipping the
+    multiply before it; displays by the trapezoidal rule.  Yields
+    ``(states, skews, displays)``, each ``(m, width)``, with grid point
+    g in chunk ``g // chunk_steps`` at column ``g % chunk_steps``.  The
+    state, skew and display reached are carried across chunks, and each
+    row's arithmetic is the same at any width, so the chunk length
+    changes no value, bit for bit.  A chunk array takes
+    ``8 m (chunk_steps + 1)`` bytes: callers with many clocks pass a
+    narrower chunk to bound it.
 
     Memory: a caller that drops each chunk before asking for the next
     keeps at most three chunk arrays alive.  The normals, skews and
@@ -332,12 +338,15 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
     kinds = [params[i] for i in first]
     decay = ou_transition(kinds[0], dt)[0]
     noise_std = np.array([ou_transition(p, dt)[1] for p in kinds])[row_of][:, None]
+    noisy = (noise_std[:, 0] > 0).tolist()
     ar1, num, den = _load_ar1_kernel(), np.array([1.0]), np.array([1.0, -decay])
     # From the settle time on exp(-2 alpha t) <= 2^-55, so 1 - exp(-2 alpha t)
     # rounds to 1 and c(t) is its limit exp(-eps^2 / (4 alpha)) bit for bit
     # (numpy's exp, as in the formula: math.exp may differ in the last bit).
     settle = 27.5 * math.log(2.0) / kinds[0].alpha
     limit = np.exp(np.array([-0.25 * p.epsilon**2 / p.alpha for p in kinds]))[row_of][:, None]
+    # before it, c(t) = exp(-0.0) = 1 exactly for a noiseless kind
+    scaled = [(p, (row_of == r)[:, None]) for r, p in enumerate(kinds) if p.epsilon > 0]
     m = len(params)
     # every chunk's skews and displays are contiguous views of these two
     size = m * (min(chunk_steps, n_steps) + 1)
@@ -348,8 +357,11 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
         # column 0 is grid point ``done``, the last one generated
         u = u_buf[:m * (k + 1)].reshape(m, k + 1)
         u[:, 0] = x
-        for rng, row in zip(rngs, u):
-            rng.standard_normal(out=row[1:])
+        for rng, row, draws in zip(rngs, u, noisy):
+            if draws:
+                rng.standard_normal(out=row[1:])
+            else:
+                row[1:] = 0.0
         u[:, 1:] *= noise_std
         states = ar1(num, den, u, 1)  # x_j = decay x_{j-1} + u_j
         skews = np.exp(states, out=skew_buf[:m * (k + 1)].reshape(m, k + 1))
@@ -357,9 +369,9 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
         if (done + 1) * dt >= settle:  # the chunk's first time: all of it settled
             skews[:, 1:] *= limit
         else:
-            c = [skew_normalizer((done + 1 + np.arange(k)) * dt, p) for p in kinds]
-            for r, c_r in enumerate(c):
-                np.multiply(skews[:, 1:], c_r, out=skews[:, 1:], where=(row_of == r)[:, None])
+            t = (done + 1 + np.arange(k)) * dt
+            for p, rows in scaled:
+                np.multiply(skews[:, 1:], skew_normalizer(t, p), out=skews[:, 1:], where=rows)
         seg = np.add(skews[:, 1:], skews[:, :-1], out=u[:, 1:])  # u is spent
         seg *= 0.5 * dt
         seg[:, :1] += tau[:, None]  # no column when k == 0
@@ -421,13 +433,20 @@ def sample_displays(p: ClockParams, spacing: float, count: int, dt: float,
     at a time (the path that :func:`simulate_clock` returns whole for
     the same seed), so that long horizons (used by empirical
     Allan-variance estimation) never materialize the full path.
-    ``spacing`` must be an integer multiple of ``dt``.
+    ``spacing`` must be an integer multiple of ``dt``, and the path's
+    ``count * spacing / dt`` grid steps fewer than 2^53, an exact count.
     """
     if not (spacing > 0 and dt > 0 and count >= 1):
         raise ValueError("spacing, dt must be positive and count >= 1")
-    per = int(round(spacing / dt))
+    steps = spacing / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"spacing {spacing!r} is {steps} steps of dt {dt!r}: not a finite count")
+    per = int(round(steps))
     if per < 1 or abs(per * dt - spacing) > 1e-9 * spacing:
         raise ValueError(f"spacing {spacing!r} is not a multiple of dt {dt!r}")
+    if per * count >= 2**53:
+        raise ValueError(f"{count} windows of spacing {spacing!r} are {float(per) * count:.6g} "
+                         f"steps of dt {dt!r}: they must stay below 2^53, an exact step count")
     kept, start = [], 0
     for _, _, displays in clock_chunks([p], dt, per * count, [np.random.default_rng(seed)],
                                        _DISPLAY_CHUNK_STEPS):
@@ -603,6 +622,7 @@ def fit_params_from_allan(points, n_starts: int = 8, seed: int = 0) -> ClockPara
         raise ValueError("averaging intervals must be distinct and positive")
     targets = np.array([q.sigma2 for q in pts])
 
+    @functools.cache  # the descent comes back to points it has seen
     def objective(log_a: float, log_e: float) -> float:
         vals = _allan_series(ts, ClockParams(math.exp(log_a), math.exp(log_e)))
         if not np.all(np.isfinite(vals)):  # e^q overflowed; inf - inf would be NaN

@@ -747,9 +747,15 @@ class ProtocolMachine:
 # --------------------------------------------------------------------------
 
 
-# Slots of ground truth per node in one engine chunk.  The loop keeps no
-# chunk's states, so at most three chunk arrays are alive at any time.
+# Slots of ground truth per clock in one engine chunk: _CHUNK_STEPS up
+# to 128 clocks; beyond that, fewer, so that a chunk array holds about
+# _CHUNK_VALUES values (4 MiB) whatever the node count; and never fewer
+# than 1 024 (reached at 512 clocks), below which the per-chunk cost
+# shows in the run time.  The loop keeps no chunk's states, so at most
+# three chunk arrays are alive at any time.  No value depends on the
+# width (see clock_chunks).
 _CHUNK_STEPS = 4096
+_CHUNK_VALUES = 2**19
 # Delays drawn at once (see draw_delay: any block size gives the same
 # values in order); scipy's truncated-normal sampler costs mostly per
 # call, not per value.
@@ -789,7 +795,8 @@ def run_scenario(sc: Scenario):
     # so one chunk (slots start..stop-1) is held at a time.
     n_slots = max(1, int(round(sc.horizon / sc.dt)))
 
-    clocks = clock_chunks(sc.params, sc.dt, n_slots, clock_rngs, _CHUNK_STEPS)
+    width = min(_CHUNK_STEPS, max(1024, _CHUNK_VALUES // len(sc.params)))
+    clocks = clock_chunks(sc.params, sc.dt, n_slots, clock_rngs, width)
     start = stop = 0
     dlinks = sc.directed_links
     machine = ProtocolMachine(sc)

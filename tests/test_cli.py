@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -497,6 +498,39 @@ def test_allan_argument_errors(tmp_path, capsys):
     save_trajectory(traj, path)
     assert main(["allan", "--intervals", "0.015", "--trajectory", str(path)]) == 2
     assert "not a multiple" in capsys.readouterr().err
+
+
+def test_allan_rejects_a_trajectory_step_that_is_not_positive(tmp_path, capsys):
+    traj = simulate_clock(ClockParams(10.0, 1.0), horizon=1.0, dt=1e-2, seed=5)
+    path = tmp_path / "traj.csv"
+    for step in (0.0, -1.0):
+        save_trajectory(replace(traj, dt=step), path)
+        assert main(["allan", "--intervals", "0.1", "--trajectory", str(path)]) == 2
+        assert f"trajectory time step {step!r} must be positive" in capsys.readouterr().err
+
+
+def test_allan_rejects_a_step_ratio_that_is_not_finite(tmp_path, capsys):
+    assert main(["allan", "--intervals", "1e-3", "--alpha", "10", "--epsilon", "1",
+                 "--sim-dt", "1e-320"]) == 2
+    assert "spacing 0.001 is inf steps of dt 1e-320" in capsys.readouterr().err
+    traj = simulate_clock(ClockParams(10.0, 1.0), horizon=1.0, dt=1e-2, seed=5)
+    path = tmp_path / "traj.csv"
+    save_trajectory(traj, path)
+    assert main(["allan", "--intervals", "1e308", "--trajectory", str(path)]) == 2
+    assert "interval 1e+308 is not a multiple" in capsys.readouterr().err
+
+
+def test_allan_rejects_a_path_of_2_to_the_53_steps():
+    # In a child with a time limit: a path this long never finishes.
+    src = str(Path(clocklab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clocklab.cli", "allan", "--intervals", "1e300",
+         "--samples", "2", "--alpha", "10", "--epsilon", "1"],
+        capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr.decode(errors="replace")
+    assert b"2 windows of spacing 1e+300 are 2e+303 steps" in proc.stderr
 
 
 # ----------------------------------------------------------------------- fit

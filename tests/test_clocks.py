@@ -200,6 +200,14 @@ def test_sample_displays_matches_simulate_clock(monkeypatch):
     np.testing.assert_array_equal(sampled, direct.displays[::50])
 
 
+def test_sample_displays_rejects_step_counts_out_of_range():
+    with pytest.raises(ValueError, match="inf steps of dt 1e-320"):
+        sample_displays(P10_1, spacing=1e-3, count=10, dt=1e-320, seed=0)
+    # 2^52 windows of two steps: one step past the last exact count
+    with pytest.raises(ValueError, match=r"9\.0072e\+15 steps of dt 0\.5: .* below 2\^53"):
+        sample_displays(P10_1, spacing=1.0, count=2**52, dt=0.5, seed=0)
+
+
 def test_sample_displays_chunking_invariance(monkeypatch):
     b = sample_displays(P10_1, spacing=0.1, count=5, dt=0.001, seed=3)
     for chunk_steps in (1, 7, 100, 128):
@@ -233,17 +241,33 @@ def test_clock_chunks_mixed_batch_chunking_invariance():
 
 def test_clock_chunks_shared_generator_draws_rows_in_turn():
     # One chunk of m clocks driven by [rng] * m is the recursion over
-    # rng.standard_normal((m, k)): row r takes the r-th k normals.
+    # the normals of rng in turn: each noisy row takes the next k, and
+    # the noiseless row (epsilon = 0) takes none and stays zero.
     params, dt, k = [ClockParams(10.0, e) for e in (0.5, 1.0, 0.0, 2.0)], 1e-3, 300
     shared, ref = np.random.default_rng(21), np.random.default_rng(21)
     (states, _, _), = clock_chunks(params, dt, k, [shared] * len(params), k + 1)
     u = np.zeros((len(params), k + 1))
-    u[:, 1:] = ref.standard_normal((len(params), k))
+    u[[0, 1, 3], 1:] = ref.standard_normal((3, k))
     u[:, 1:] *= np.array([[ou_transition(p, dt)[1]] for p in params])
     decay = ou_transition(params[0], dt)[0]
     want = clocks._load_ar1_kernel()(np.array([1.0]), np.array([1.0, -decay]), u, 1)
     assert states.tobytes() == want.tobytes()
     assert shared.random() == ref.random()
+
+
+def test_clock_chunks_noiseless_row_draws_nothing():
+    # The reference clock's row leaves its generator untouched and holds
+    # X = +0.0 and a = 1.0 exactly, before and after the settle time.
+    params, dt, n_steps = [ClockParams(10.0, e) for e in (1.0, 0.0, 0.5)], 1e-3, 3000
+    rngs = [np.random.default_rng(s) for s in range(len(params))]
+    chunks = [[a.copy() for a in chunk]  # the next chunk overwrites this one
+              for chunk in clock_chunks(params, dt, n_steps, rngs, 700)]
+    states, skews, displays = (np.concatenate(arrays, axis=1) for arrays in zip(*chunks))
+    assert states.shape == (3, n_steps + 1)
+    assert states[1].tobytes() == np.zeros(n_steps + 1).tobytes()
+    assert np.all(skews[1] == 1.0)
+    assert rngs[1].random() == np.random.default_rng(1).random()
+    assert np.all(np.diff(displays[1]) > 0)
 
 
 def test_clock_chunks_needs_one_generator_per_clock():
@@ -253,7 +277,7 @@ def test_clock_chunks_needs_one_generator_per_clock():
             next(clock_chunks([P10_1] * 2, 1e-3, 10, rngs, 4))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 65_537), (10, 4_097), (300, 4_097)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 65_537), (10, 4_097), (300, 1_748), (300, 4_097)])
 def test_ar1_kernel_is_lfilter_bit_for_bit(shape):
     from scipy.signal import lfilter
 
@@ -532,6 +556,22 @@ def test_allan_empirical_matches_analytic():
 
 def _curve(p: ClockParams, ts) -> list[AllanPoint]:
     return [AllanPoint(t, allan_variance_analytic(t, p)) for t in ts]
+
+
+def test_fit_evaluates_each_parameter_pair_once(monkeypatch):
+    # The descent revisits points (its start, and the point it stepped
+    # from); each curve is computed once.
+    pts = _curve(ClockParams(66.4, 4.15e-5), np.geomspace(2e-3, 0.2, 8))
+    series, pairs = clocks._allan_series, []
+
+    def counted(ts, p):
+        pairs.append((p.alpha, p.epsilon))
+        return series(ts, p)
+
+    monkeypatch.setattr(clocks, "_allan_series", counted)
+    fit_params_from_allan(pts)
+    assert len(pairs) > clocks._FIT_GRID**2
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_fit_recovers_known_parameters():

@@ -39,6 +39,7 @@ from clocklab.simulator import (
     write_metrics_csv,
     write_trace_csv,
     _CHUNK_STEPS,
+    _CHUNK_VALUES,
     _MAX_STATE_VARIANCE,
 )
 from clocklab.smoothing import RelativeEstimates, SyncGraph, jacobi_step
@@ -54,6 +55,14 @@ def two_node(**kw):
                 skew_rate=5.0, offset_rate=6.0, seed=1)
     base.update(kw)
     return Scenario(**base)
+
+
+def line(clocks, horizon, protocol="SS"):
+    """The shipped ten-node line's clocks and delays on ``clocks`` nodes."""
+    base = read_scenario(SCENARIOS / "ten-node-line.scenario")
+    n = clocks - 1
+    return replace(base, graph=SyncGraph(n=n, edges=[(i, i + 1) for i in range(n)]),
+                   epsilons=(0.0,) + (1.0,) * n, horizon=horizon, protocol=protocol)
 
 
 def metrics_csv_bytes(report, tmp_path, name):
@@ -651,12 +660,33 @@ def test_run_memory_does_not_grow_with_the_horizon():
 def test_run_holds_at_most_three_chunk_arrays():
     # 100 clocks over 20 000 slots: the engine asks for five chunks, and
     # the three arrays of one (m, _CHUNK_STEPS + 1) chunk set the peak.
-    base = read_scenario(SCENARIOS / "ten-node-line.scenario")
-    n = 99
-    sc = replace(base, graph=SyncGraph(n=n, edges=[(i, i + 1) for i in range(n)]),
-                 epsilons=(0.0,) + (1.0,) * n, horizon=0.2, protocol="SS")
-    chunk_array = (n + 1) * (_CHUNK_STEPS + 1) * 8
+    sc = line(100, 0.2)
+    chunk_array = 100 * (_CHUNK_STEPS + 1) * 8
     assert traced_peak(lambda: run_scenario(sc)) < 3.5 * chunk_array
+
+
+def test_run_chunk_memory_does_not_grow_with_the_node_count():
+    # 300 clocks over 5 000 slots: each chunk array holds about
+    # _CHUNK_VALUES values (300 x 1 748), not 300 x 4 097.  A short run
+    # first makes the imports of a process's first run, outside the trace.
+    sc = line(300, 0.05)
+    run_scenario(replace(sc, horizon=1e-3))
+    assert traced_peak(lambda: run_scenario(sc)) < 3.5 * _CHUNK_VALUES * 8
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS)
+def test_run_outputs_do_not_depend_on_the_chunk_width(tmp_path, monkeypatch, proto):
+    sc = line(300, 0.05, proto)
+
+    def outputs(name):
+        rep, trace = run_scenario(sc)
+        write_trace_csv(trace, tmp_path / name)
+        return ((tmp_path / name).read_bytes(), metrics_csv_bytes(rep, tmp_path, name + ".m"),
+                rep.collisions, rep.out_of_order, rep.discarded)
+
+    narrow = outputs("narrow.csv")
+    monkeypatch.setattr(simulator, "_CHUNK_VALUES", 300 * _CHUNK_STEPS)  # 4 096-slot chunks
+    assert outputs("wide.csv") == narrow
 
 
 def test_trace_rows_are_well_formed():
