@@ -16,6 +16,7 @@ parallelizes only across independent (scenario, seed) runs.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import sys
@@ -90,11 +91,12 @@ def _hints(args) -> None:
         print(_HINTS[args.subcommand], file=sys.stderr)
 
 
-def _out_handle(spec: str | None):
-    """``None`` or ``-`` selects stdout; anything else is a path."""
+def _output(spec: str | None):
+    """A context manager for the output: ``None`` or ``-`` selects
+    stdout, which it leaves open; anything else is a path to write."""
     if spec is None or spec == "-":
-        return sys.stdout, False
-    return open(spec, "w"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(spec, "w")
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -287,12 +289,8 @@ def _cmd_smooth(args) -> int:
     result = smooth(g, RelativeEstimates(values), tol=args.tol,
                     max_iter=args.max_iter, schedule=args.schedule,
                     seed=args.seed)
-    handle, close = _out_handle(args.out)
-    try:
+    with _output(args.out) as handle:
         write_nodal_csv(result.values, handle)
-    finally:
-        if close:
-            handle.close()
     _hints(args)
     if not result.converged:
         print(f"smoothing stopped after {result.sweeps} sweeps "
@@ -319,8 +317,7 @@ def _cmd_degrade(args) -> int:
     dist = initial_network_state(sc.params)
     every = dict.fromkeys(range(1, opt.n + 1), args.period)
     edges = sc.graph.edges
-    handle, close = _out_handle(args.out)
-    try:
+    with _output(args.out) as handle:
         handle.write("t,trace_opt,trace_dist,ratio\n")
         for k in range(1, steps + 1):
             t_k = k * args.period
@@ -334,9 +331,6 @@ def _cmd_degrade(args) -> int:
             tr_o, tr_d = float(np.trace(opt.P)), float(np.trace(dist.P))
             ratio = tr_d / tr_o if tr_o else math.nan  # no uncertainty to compare
             handle.write(f"{t_k:.17g},{tr_o:.17g},{tr_d:.17g},{ratio:.17g}\n")
-    finally:
-        if close:
-            handle.close()
     _hints(args)
     return 0
 

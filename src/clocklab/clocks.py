@@ -430,9 +430,9 @@ def sample_displays(p: ClockParams, spacing: float, count: int, dt: float,
     """Display values tau(0), tau(spacing), ..., tau(count*spacing).
 
     Streams the path through :func:`clock_chunks`, 65 536 grid points
-    at a time (the path that :func:`simulate_clock` returns whole for
-    the same seed), so that long horizons (used by empirical
-    Allan-variance estimation) never materialize the full path.
+    at a time, from one generator seeded with ``seed``, so that long
+    horizons (used by empirical Allan-variance estimation) never
+    materialize the full path.
     ``spacing`` must be an integer multiple of ``dt``, and the path's
     ``count * spacing / dt`` grid steps fewer than 2^53, an exact count.
     """

@@ -33,7 +33,8 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -315,7 +316,8 @@ def mac_arbitrate(pending, rng: np.random.Generator):
 class MetricsReport:
     """Per-node mean absolute errors plus run counters.
 
-    Keys are non-reference node ids.  Replay reports carry NaN in the
+    Each error column holds every non-reference node id, with NaN for a
+    node that has no errors in it: replay reports are NaN in the
     columns that need ground truth (offset/skew and the no-sync
     baselines) since a trace records only stamps.
 
@@ -335,40 +337,23 @@ class MetricsReport:
     discarded: int = 0
 
 
-def compute_metrics(samples, predictions) -> MetricsReport:
-    """Assemble per-node MAEs from each node's evaluation samples.
+_ERROR_COLUMNS = ("offset_mae", "skew_mae", "pred_mae", "offset_nosync", "skew_nosync")
 
-    ``samples``: {node: rows of (t, tau, skew, offset_est, skew_est)},
-    the reference time, the node's true display and skew, and its
-    offset and skew estimates at each evaluation instant;
-    ``predictions``: {node: [(predicted, actual), ...]} receipt stamps.
-    The no-sync columns use the zero-offset and unit-skew baselines at
-    the same instants.  Prediction errors need no ground truth, so a
-    node with no samples still gets its ``pred_mae``.
+
+def compute_metrics(errors, counts) -> MetricsReport:
+    """Build a report from a run's ledger (:class:`ProtocolMachine`).
+
+    ``errors`` maps each error column to ``{node: buffer}`` of absolute
+    errors, float64 values such as an ``array('d')``; a column's value
+    for a node is the mean of its buffer, NaN when the buffer is empty.
+    ``counts`` holds ``collisions``, ``timeouts``, ``orphans`` and
+    ``out_of_order``; ``discarded`` is timeouts plus orphans.
     """
-    offset_mae, skew_mae, pred_mae = {}, {}, {}
-    off_ns, skew_ns = {}, {}
-    for node, rows in samples.items():
-        pairs = predictions.get(node, [])
-        if pairs:
-            arr = np.asarray(pairs, dtype=float)
-            pred_mae[node] = float(np.mean(np.abs(arr[:, 0] - arr[:, 1])))
-        else:
-            pred_mae[node] = float("nan")
-        t, tau, skew, est_off, est_skew = np.array(rows, dtype=float).reshape(-1, 5).T
-        if len(t) == 0:
-            nan = float("nan")
-            offset_mae[node] = skew_mae[node] = nan
-            off_ns[node] = skew_ns[node] = nan
-            continue
-        true_off = tau - t
-        offset_mae[node] = float(np.mean(np.abs(est_off - true_off)))
-        skew_mae[node] = float(np.mean(np.abs(est_skew - skew)))
-        off_ns[node] = float(np.mean(np.abs(true_off)))
-        skew_ns[node] = float(np.mean(np.abs(skew - 1.0)))
-    return MetricsReport(offset_mae=offset_mae, skew_mae=skew_mae,
-                         pred_mae=pred_mae, offset_nosync=off_ns,
-                         skew_nosync=skew_ns)
+    return MetricsReport(
+        **{col: {m: float(np.mean(buf)) if len(buf) else math.nan for m, buf in bufs.items()}
+           for col, bufs in errors.items()},
+        collisions=counts["collisions"], out_of_order=counts["out_of_order"],
+        discarded=counts["timeouts"] + counts["orphans"])
 
 
 def write_metrics_csv(report: MetricsReport, path) -> None:
@@ -377,11 +362,9 @@ def write_metrics_csv(report: MetricsReport, path) -> None:
         fh.write("node,offset_mae,skew_mae,pred_mae,offset_nosync,skew_nosync\n")
         for node in sorted(report.pred_mae):
             fh.write(
-                f"{node},{report.offset_mae.get(node, float('nan')):.17g},"
-                f"{report.skew_mae.get(node, float('nan')):.17g},"
-                f"{report.pred_mae[node]:.17g},"
-                f"{report.offset_nosync.get(node, float('nan')):.17g},"
-                f"{report.skew_nosync.get(node, float('nan')):.17g}\n"
+                f"{node},{report.offset_mae[node]:.17g},{report.skew_mae[node]:.17g},"
+                f"{report.pred_mae[node]:.17g},{report.offset_nosync[node]:.17g},"
+                f"{report.skew_nosync[node]:.17g}\n"
             )
 
 
@@ -407,8 +390,8 @@ class TraceRow:
     src: int
     dst: int
     seq: int
-    s_stamp: float
-    r_stamp: float
+    s_stamp: float = math.nan
+    r_stamp: float = math.nan
     true_send_t: float | None = None
     true_delay: float | None = None
 
@@ -522,6 +505,10 @@ class ProtocolMachine:
     evaluation sampling cannot perturb a run.  A link's relative skew
     is read once per decision, by :meth:`relative_skew`, at the
     receiver's stamp.
+
+    ``errors`` and ``counts`` are the run's ledger for
+    :func:`compute_metrics`: the machine records receipt-prediction
+    errors, orphans and out-of-order pairs, the engine the rest.
     """
 
     def __init__(self, sc: Scenario):
@@ -535,13 +522,12 @@ class ProtocolMachine:
         self.rel_off = RelativeEstimates()
         self.v_off = [0.0] * (self.n + 1)
         self.u_off = [0.0] * (self.n + 1)
-        # prediction records and counters
-        self.pred_pairs: dict[int, list[tuple[float, float]]] = {}
+        self.errors = {col: {m: array("d") for m in range(1, self.n + 1)}
+                       for col in _ERROR_COLUMNS}
+        self.counts = dict.fromkeys(("collisions", "timeouts", "orphans", "out_of_order"), 0)
         self.completed: set[tuple[int, int]] = set()  # links with a finished pair
-        self.out_of_order = 0
         # earlier legs of open exchanges, by (sequence number, kind)
         self._legs: dict[tuple[int, str], object] = {}
-        self.orphans = 0
         self.network: _Filter | None = None
         if sc.protocol == "MBCSP":
             self.network = _Filter(self.params, range(1, self.n + 1))
@@ -567,8 +553,8 @@ class ProtocolMachine:
         back to ``row.src`` (None when it sends none) and whether
         ``row.dst`` refreshed its nodal offset.  A ``skew-b``,
         ``off-rep`` or ``off-ack`` whose earlier leg never arrived is
-        an orphan: it is counted in ``orphans`` and changes nothing.
-        A row between nodes that no graph link joins raises
+        an orphan: it is counted in ``counts["orphans"]`` and changes
+        nothing.  A row between nodes that no graph link joins raises
         ``ValueError`` before any state changes.
         """
         self._edge_of(row.src, row.dst)
@@ -585,7 +571,7 @@ class ProtocolMachine:
             raise ValueError(f"unknown packet kind {kind!r}")
         leg = self._legs.pop((seq, _EARLIER_LEG[kind]), None)
         if leg is None:
-            self.orphans += 1
+            self.counts["orphans"] += 1
             return None, False
         if kind == "skew-b":
             s0, r0 = leg
@@ -643,15 +629,16 @@ class ProtocolMachine:
 
         A pair with equal send stamps (the sender's display did not move
         by one stamp unit between them) is neither predicted nor
-        measured; one with equal receive stamps is not measured.
+        measured; one with equal receive stamps is not measured.  The
+        reference's receipts are not predicted: no report holds them.
         """
         if r1 - r0 <= 0:
-            self.out_of_order += 1
+            self.counts["out_of_order"] += 1
         key = (snd, rcv)
-        if key in self.completed and s1 != s0:
+        if key in self.completed and s1 != s0 and rcv != 0:
             a_hat = self.relative_skew(snd, rcv, s0, r0)[0]
             r_hat = predict_receipt(s0, r0, s1, a_hat)
-            self.pred_pairs.setdefault(rcv, []).append((r_hat, r1))
+            self.errors["pred_mae"][rcv].append(abs(r_hat - r1))
         self.completed.add(key)
         if r1 == r0 or s1 == s0:
             return  # no send or receive interval to measure
@@ -790,9 +777,9 @@ def run_scenario(sc: Scenario):
     delays = _delays(sc.delay, np.random.default_rng(children[sc.graph.n + 2]))
     rng_mac = np.random.default_rng(children[sc.graph.n + 3])
 
-    # Node m's clock is the simulate_clock path of its seed, streamed: the
-    # engine reads it only at the current slot, and slots never decrease,
-    # so one chunk (slots start..stop-1) is held at a time.
+    # Node m's clock is row m of clock_chunks, streamed: the engine reads
+    # it only at the current slot, and slots never decrease, so one chunk
+    # (slots start..stop-1) is held at a time.
     n_slots = max(1, int(round(sc.horizon / sc.dt)))
 
     width = min(_CHUNK_STEPS, max(1024, _CHUNK_VALUES // len(sc.params)))
@@ -800,10 +787,9 @@ def run_scenario(sc: Scenario):
     start = stop = 0
     dlinks = sc.directed_links
     machine = ProtocolMachine(sc)
+    counts, errors = machine.counts, machine.errors
     trace: list[TraceRow] = []
     deadlines: dict[int, int] = {}  # open exchange id -> last arrival slot
-    collisions = 0
-    timeouts = 0
     timeout_slots = max(1, int(round(10.0 * sc.delay.mean / sc.dt)))
 
     p_skew = sc.skew_rate * len(dlinks) * sc.dt
@@ -825,31 +811,26 @@ def run_scenario(sc: Scenario):
     push(int(rng_sched.geometric(p_skew)), "start-skew", None)
     push(int(rng_sched.geometric(p_off)), "start-offset", None)
 
-    samples: dict[int, list[tuple[float, ...]]] = {
-        m: [] for m in range(1, sc.graph.n + 1)
-    }
-
     def record_sample(node: int, slot: int) -> None:
         if node == 0:
             return
         tau_now = float(displays[node, slot - start])
+        skew = float(skews[node, slot - start])
         a_node = machine.nodal_skew(node, tau_now)
-        samples[node].append((
-            slot * sc.dt, tau_now, float(skews[node, slot - start]),
-            machine.offset_estimate(node, tau_now, a_node), a_node,
-        ))
-
-    def packet(kind, src, dst, seq):  # its trace row, stamped as it goes
-        return TraceRow(kind, src, dst, seq, math.nan, math.nan)
+        true_off = tau_now - slot * sc.dt
+        est_off = machine.offset_estimate(node, tau_now, a_node)
+        errors["offset_mae"][node].append(abs(est_off - true_off))
+        errors["skew_mae"][node].append(abs(a_node - skew))
+        errors["offset_nosync"][node].append(abs(true_off))
+        errors["skew_nosync"][node].append(abs(skew - 1.0))
 
     def handle_arrival(slot, row: TraceRow):
-        nonlocal timeouts
         deadline = deadlines.get(row.seq)
         if deadline is None:
             return
         if slot > deadline:
             del deadlines[row.seq]
-            timeouts += 1
+            counts["timeouts"] += 1
             return
         row.r_stamp = stamp(row.dst, slot)
         trace.append(row)
@@ -858,7 +839,7 @@ def run_scenario(sc: Scenario):
             record_sample(row.dst, slot)
         if reply is not None:
             gap = sc.roundtrip_gap if reply == "off-rep" else 1
-            push(slot + gap, "send", packet(reply, row.dst, row.src, row.seq))
+            push(slot + gap, "send", TraceRow(reply, row.dst, row.src, row.seq))
         elif row.kind != "skew-a":  # after skew-a, skew-b is still to come
             del deadlines[row.seq]
 
@@ -886,15 +867,15 @@ def run_scenario(sc: Scenario):
             xid_counter += 1
             deadlines[xid_counter] = slot + timeout_slots
             if kind == "start-skew":
-                sends.append(packet("skew-a", src, dst, xid_counter))
-                push(slot + sc.skew_gap, "send", packet("skew-b", src, dst, xid_counter))
+                sends.append(TraceRow("skew-a", src, dst, xid_counter))
+                push(slot + sc.skew_gap, "send", TraceRow("skew-b", src, dst, xid_counter))
             else:
-                sends.append(packet("off-req", src, dst, xid_counter))
+                sends.append(TraceRow("off-req", src, dst, xid_counter))
             push(slot + int(rng_sched.geometric(p_kind)), kind, None)
         if sends:
             live = [row for row in sends if row.seq in deadlines]
             admitted, dropped = mac_arbitrate(live, rng_mac)
-            collisions += len(dropped)
+            counts["collisions"] += len(dropped)
             for row in dropped:
                 del deadlines[row.seq]
             for row in sorted(admitted, key=lambda r: r.seq):
@@ -904,11 +885,7 @@ def run_scenario(sc: Scenario):
                 if slot + dslots <= n_slots:
                     push(slot + dslots, "arrive", row)
 
-    report = compute_metrics(samples, machine.pred_pairs)
-    report = replace(report, collisions=collisions,
-                     out_of_order=machine.out_of_order,
-                     discarded=timeouts + machine.orphans)
-    return report, trace
+    return compute_metrics(errors, counts), trace
 
 
 # --------------------------------------------------------------------------
@@ -919,14 +896,13 @@ def run_scenario(sc: Scenario):
 def trace_replay(rows, sc: Scenario) -> MetricsReport:
     """Re-run the protocol machine over recorded stamps only.
 
-    Reproduces the live run's estimates and prediction errors exactly
-    (the same rows through the same :meth:`ProtocolMachine.deliver`).
-    Ground truth is unavailable from a trace, so the offset/skew MAE
-    columns are NaN; an empty trace yields an empty report.
+    Reproduces the live run's estimates, prediction errors, orphans and
+    out-of-order pairs exactly (the same rows through the same
+    :meth:`ProtocolMachine.deliver`); a trace holds no dropped or
+    timed-out packet.  Ground truth is unavailable from a trace, so the
+    offset/skew MAE columns are NaN.
     """
     machine = ProtocolMachine(sc)
     for row in rows:
         machine.deliver(row)
-    nodes = range(1, sc.graph.n + 1)
-    report = compute_metrics({m: () for m in nodes}, machine.pred_pairs)
-    return replace(report, out_of_order=machine.out_of_order)
+    return compute_metrics(machine.errors, machine.counts)

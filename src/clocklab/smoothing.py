@@ -209,6 +209,9 @@ def smooth(
     if schedule not in ("sweep", "random"):
         raise ValueError(f"unknown schedule {schedule!r}")
     _edge_vector(g, rel)  # validate coverage up front
+    isolated = next((i for i in range(1, g.n + 1) if not g.incident(i)), None)
+    if isolated is not None:  # O(edges): at most one past the nodes edges touch
+        raise ValueError(f"isolated node {isolated}")
     v = np.zeros(g.n + 1)
     if math.isinf(tol):  # any change is acceptable: nothing to do
         return SmoothResult(values=v, sweeps=0, converged=True, final_delta=0.0)

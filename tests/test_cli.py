@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -643,6 +644,25 @@ def test_smooth_nonconvergence_exits_one(tmp_path, capsys):
                  "--out", str(tmp_path / "nodal.csv")]) == 1
     assert "sweeps" in capsys.readouterr().err
     assert (tmp_path / "nodal.csv").exists()  # partial result still written
+
+
+def test_smooth_isolated_node_exits_two_before_allocating(tmp_path, capsys):
+    rel = tmp_path / "rel.csv"
+    rel.write_text("i,j,value\n0,1,1.0\n1,2,0.5\n0,2,1.5\n")
+    assert main(["smooth", str(rel), "--nodes", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "isolated node 3" in captured.err and captured.out == ""
+    # 10^12 nodes, in a child under a 2 GiB address-space limit: an array
+    # of one value per node fails there on MemoryError (exit 1).
+    src = str(Path(clocklab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clocklab.cli", "smooth", str(rel), "--nodes", str(10**12)],
+        capture_output=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)))
+    assert proc.returncode == 2, proc.stderr.decode(errors="replace")
+    assert b"isolated node 3" in proc.stderr and proc.stdout == b""
 
 
 def test_smooth_malformed_input_exits_two(tmp_path, capsys):

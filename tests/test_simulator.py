@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from clocklab.simulator import (
     write_trace_csv,
     _CHUNK_STEPS,
     _CHUNK_VALUES,
+    _ERROR_COLUMNS,
     _MAX_STATE_VARIANCE,
 )
 from clocklab.smoothing import RelativeEstimates, SyncGraph, jacobi_step
@@ -288,39 +290,113 @@ def test_mac_maximal_matching_property():
 # ---------------------------------------------------------------- metrics
 
 
+NO_COUNTS = dict.fromkeys(("collisions", "timeouts", "orphans", "out_of_order"), 0)
+
+
+def ledger(n=1, **columns):
+    """A ledger's errors over nodes 1..n: the buffers given as
+    ``column={node: values}``, every other buffer empty."""
+    return {col: {m: array("d", columns.get(col, {}).get(m, ())) for m in range(1, n + 1)}
+            for col in _ERROR_COLUMNS}
+
+
 def test_compute_metrics_hand_values():
-    # rows of (t, tau, skew, offset_est, skew_est)
-    samples = {1: [(0.0, 0.1, 1.0, 0.0, 1.0), (1.0, 1.3, 1.2, 0.2, 1.1)]}
-    preds = {1: [(1.0, 1.5), (2.0, 1.8)]}
-    rep = compute_metrics(samples, preds)
+    errors = ledger(offset_mae={1: [0.1, 0.1]}, skew_mae={1: [0.0, 0.1]},
+                    offset_nosync={1: [0.1, 0.3]}, skew_nosync={1: [0.0, 0.2]},
+                    pred_mae={1: [0.5, 0.2]})
+    counts = dict(collisions=2, timeouts=3, orphans=4, out_of_order=5)
+    rep = compute_metrics(errors, counts)
     assert rep.offset_mae[1] == pytest.approx(0.1)
     assert rep.skew_mae[1] == pytest.approx(0.05)
     assert rep.offset_nosync[1] == pytest.approx(0.2)
     assert rep.skew_nosync[1] == pytest.approx(0.1)
     assert rep.pred_mae[1] == pytest.approx(0.35)
+    assert (rep.collisions, rep.discarded, rep.out_of_order) == (2, 3 + 4, 5)
 
 
 def test_compute_metrics_perfect_and_missing():
-    t = np.linspace(0.0, 1.0, 5)
-    tau = t + 0.25
-    skew = np.full(5, 1.1)
-    rep = compute_metrics({2: list(zip(t, tau, skew, np.full(5, 0.25), skew))}, {})
+    rep = compute_metrics(ledger(2, offset_mae={2: [0.0] * 5}, skew_mae={2: [0.0] * 5},
+                                 offset_nosync={2: [0.25] * 5}, skew_nosync={2: [0.1] * 5}),
+                          NO_COUNTS)
     assert rep.offset_mae[2] == 0.0
     assert rep.skew_mae[2] == 0.0
-    assert rep.offset_nosync[2] == pytest.approx(0.25)
+    assert rep.offset_nosync[2] == 0.25
     assert math.isnan(rep.pred_mae[2])
+    # node 1 has no errors at all: every column still holds it, as NaN
+    assert all(math.isnan(getattr(rep, col)[1]) for col in _ERROR_COLUMNS)
 
 
 def test_compute_metrics_empty_and_mismatch():
-    rep = compute_metrics({1: []}, {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty buffer is NaN without a warning
+        rep = compute_metrics(ledger(), NO_COUNTS)
     assert math.isnan(rep.offset_mae[1]) and math.isnan(rep.skew_mae[1])
+    assert (rep.collisions, rep.discarded, rep.out_of_order) == (0, 0, 0)
     # prediction errors need no ground truth
-    rep = compute_metrics({1: []}, {1: [(1.0, 1.5)]})
+    rep = compute_metrics(ledger(pred_mae={1: [0.5]}), NO_COUNTS)
     assert rep.pred_mae[1] == 0.5 and math.isnan(rep.offset_mae[1])
 
 
+def tuple_metrics(samples, predictions):
+    """Per-node MAEs from rows of (t, tau, skew, offset_est, skew_est) and
+    (predicted, actual) receipt pairs: the formula of the report's
+    earlier tuple-based assembly, kept as the reference."""
+    cols = {col: {} for col in _ERROR_COLUMNS}
+    for node, rows in samples.items():
+        pairs = predictions.get(node, [])
+        if pairs:
+            arr = np.asarray(pairs, dtype=float)
+            cols["pred_mae"][node] = float(np.mean(np.abs(arr[:, 0] - arr[:, 1])))
+        else:
+            cols["pred_mae"][node] = float("nan")
+        t, tau, skew, est_off, est_skew = np.array(rows, dtype=float).reshape(-1, 5).T
+        if len(t) == 0:
+            for col in ("offset_mae", "skew_mae", "offset_nosync", "skew_nosync"):
+                cols[col][node] = float("nan")
+            continue
+        true_off = tau - t
+        cols["offset_mae"][node] = float(np.mean(np.abs(est_off - true_off)))
+        cols["skew_mae"][node] = float(np.mean(np.abs(est_skew - skew)))
+        cols["offset_nosync"][node] = float(np.mean(np.abs(true_off)))
+        cols["skew_nosync"][node] = float(np.mean(np.abs(skew - 1.0)))
+    return cols
+
+
+def test_ledger_metrics_match_the_tuple_formula_bit_for_bit():
+    # Lengths around the steps of numpy's summation: 8-way unrolling,
+    # 128-value pairwise blocks and 8 192-value buffers.
+    lengths = (0, 1, 7, 8, 9, 127, 128, 129, 8192, 8193)
+    rng = np.random.default_rng(7)
+    samples, predictions = {}, {}
+    errors = ledger(len(lengths))
+    for m, (k_samples, k_preds) in enumerate(zip(lengths, lengths[::-1]), 1):
+        t = rng.uniform(0.0, 12.0, k_samples)
+        tau = t + rng.normal(0.0, 1e-2, k_samples)
+        skew = np.exp(rng.normal(0.0, 0.2, k_samples))
+        rows = list(zip(t.tolist(), tau.tolist(), skew.tolist(),
+                        rng.normal(0.0, 1e-2, k_samples).tolist(),
+                        np.exp(rng.normal(0.0, 0.2, k_samples)).tolist()))
+        pairs = list(zip(rng.uniform(0.0, 12.0, k_preds).tolist(),
+                         rng.uniform(0.0, 12.0, k_preds).tolist()))
+        samples[m], predictions[m] = rows, pairs
+        for t_, tau_, skew_, est_off, est_skew in rows:  # as the engine appends them
+            errors["offset_mae"][m].append(abs(est_off - (tau_ - t_)))
+            errors["skew_mae"][m].append(abs(est_skew - skew_))
+            errors["offset_nosync"][m].append(abs(tau_ - t_))
+            errors["skew_nosync"][m].append(abs(skew_ - 1.0))
+        for r_hat, r1 in pairs:  # as the machine appends them
+            errors["pred_mae"][m].append(abs(r_hat - r1))
+    rep = compute_metrics(errors, NO_COUNTS)
+    want = tuple_metrics(samples, predictions)
+    for col in _ERROR_COLUMNS:
+        assert {m: v.hex() for m, v in getattr(rep, col).items()} == \
+            {m: v.hex() for m, v in want[col].items()}, col
+
+
 def test_metrics_csv(tmp_path):
-    rep = compute_metrics({1: [(0.0, 0.5, 1.0, 0.5, 1.0)]}, {1: [(0.0, 0.25)]})
+    rep = compute_metrics(ledger(offset_mae={1: [0.0]}, skew_mae={1: [0.0]},
+                                 offset_nosync={1: [0.5]}, skew_nosync={1: [0.0]},
+                                 pred_mae={1: [0.25]}), NO_COUNTS)
     path = tmp_path / "metrics.csv"
     write_metrics_csv(rep, path)
     lines = path.read_text().splitlines()
@@ -441,16 +517,17 @@ def test_out_of_order_counter():
     sc = two_node(protocol="SS")
     m = ProtocolMachine(sc)
     m.skew_complete(0, 1, 0.0, 2.0, 1.0, 1.5)  # receipts step backwards
-    assert m.out_of_order == 1
+    assert m.counts["out_of_order"] == 1
     m.skew_complete(0, 1, 0.0, 1.5, 1.0, 2.5)
-    assert m.out_of_order == 1
+    assert m.counts == dict(NO_COUNTS, out_of_order=1)
+    assert len(m.errors["pred_mae"][1]) == 1  # the second pair's receipt is predicted
 
 
 @pytest.mark.parametrize("proto", PROTOCOLS)
 def test_same_slot_receipts_skip_the_measurement(proto):
     m = ProtocolMachine(two_node(protocol=proto))
     m.skew_complete(0, 1, 0.0, 1.5, 1.0, 1.5)  # SS would take log(0)
-    assert m.out_of_order == 1
+    assert m.counts["out_of_order"] == 1
     assert m.completed == {(0, 1)}
     assert m.nodal_skew(1, 1.5) == ProtocolMachine(m.sc).nodal_skew(1, 1.5)
 
@@ -462,7 +539,7 @@ def test_equal_send_stamps_skip_the_pair(proto):
     m.skew_complete(0, 1, 1.0, 1.2, 1.0, 1.3)  # SS would divide by zero
     assert m.completed == {(0, 1)}
     m.skew_complete(0, 1, 1.0, 1.4, 1.0, 1.5)  # a completed link predicts no receipt
-    assert m.pred_pairs == {} and m.out_of_order == 0
+    assert m.errors == ProtocolMachine(m.sc).errors and m.counts == NO_COUNTS
     assert m.nodal_skew(1, 1.6) == fresh.nodal_skew(1, 1.6)
     assert m.relative_skew(0, 1, 1.6, 1.6) == fresh.relative_skew(0, 1, 1.6, 1.6)
 
@@ -735,10 +812,10 @@ def test_replay_tolerates_empty_and_orphan_rows():
               TraceRow("off-rep", 1, 0, 8, 0.0, 0.1),
               TraceRow("off-ack", 0, 1, 7, 0.0, 0.1)]
     rep = trace_replay(orphan, sc)
-    assert math.isnan(rep.pred_mae[1])
+    assert math.isnan(rep.pred_mae[1]) and rep.discarded == 3
     m = ProtocolMachine(sc)
     assert [m.deliver(row) for row in orphan] == [(None, False)] * 3
-    assert m.orphans == 3
+    assert m.counts == dict(NO_COUNTS, orphans=3)
     with pytest.raises(ValueError, match="unknown packet kind 'sync'"):
         m.deliver(TraceRow("sync", 0, 1, 6, 0.0, 0.1))
 
@@ -755,7 +832,7 @@ def test_replay_rejects_rows_off_the_graph(proto, src, dst):
     for row in rows[::-1]:  # a lone skew-b would count an orphan
         with pytest.raises(ValueError, match="no edge"):
             m.deliver(row)
-    assert m.orphans == 0
+    assert m.counts == NO_COUNTS
 
 
 def assert_replay_exact(live, trace, sc, path):
@@ -764,6 +841,7 @@ def assert_replay_exact(live, trace, sc, path):
     assert {m: v.hex() for m, v in rep.pred_mae.items()} == \
         {m: v.hex() for m, v in live.pred_mae.items()}
     assert rep.out_of_order == live.out_of_order
+    return rep
 
 
 LINE4 = SyncGraph(n=3, edges=((0, 1), (1, 2), (2, 3)))
@@ -782,7 +860,12 @@ def test_same_slot_receipts_do_not_stop_a_run(tmp_path, skew_gap, seed, proto):
                   skew_gap=skew_gap, seed=seed, protocol=proto)
     live, trace = run_scenario(sc)
     assert live.out_of_order >= 1
-    assert_replay_exact(live, trace, sc, tmp_path / "trace.csv")
+    rep = assert_replay_exact(live, trace, sc, tmp_path / "trace.csv")
+    # No exchange of these runs times out (delays stay far below the
+    # timeout of ten mean delays), so every live discard is an orphan, a
+    # skew-b that overtook its skew-a, which the trace keeps.
+    assert live.discarded > 0 and rep.discarded == live.discarded
+    assert rep.collisions == 0
 
 
 @pytest.mark.parametrize("proto", PROTOCOLS)
