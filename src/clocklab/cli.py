@@ -29,6 +29,7 @@ import numpy as np
 from clocklab.clocks import (
     AllanPoint,
     ClockParams,
+    _check_readout_noise,
     allan_variance_analytic,
     allan_variance_empirical,
     fit_params_from_allan,
@@ -179,6 +180,7 @@ def _cmd_allan(args) -> int:
         raise ValueError("--alpha and --epsilon must be given together")
     if args.alpha is not None:
         params = ClockParams(alpha=args.alpha, epsilon=args.epsilon)
+        _check_readout_noise(params, "--epsilon", "epsilon")
     displays = grid_dt = None
     if args.trajectory is not None:
         cols = read_trajectory_csv(args.trajectory)

@@ -25,8 +25,10 @@ import csv
 import functools
 import importlib.machinery
 import importlib.util
+import itertools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +89,33 @@ class ClockParams:
     def stationary_state_variance(self) -> float:
         """Long-run variance of the log-skew state, epsilon^2 / (2 alpha)."""
         return self.epsilon**2 / (2.0 * self.alpha)
+
+
+# Largest stationary log-skew variance v = eps^2/(2 alpha) of a node whose
+# readouts stay finite.  The symmetrized readout of a link (i, j) forms
+# a_ij/a_ji = c_ij(t)^2 e^(2 mean): |log c_ij(t)| <= |v_j - v_i|/2, and the
+# estimate ``mean`` of x_j - x_i is taken to stay within _READOUT_DEVIATIONS
+# stationary deviations sqrt(v_i + v_j).  With every v <= V, the log of the
+# ratio is then at most V + 2 K sqrt(V) (once V > K^2), which must stay below
+# the log of the largest float.  Each directed estimate a_ij has a log of at
+# most V + K^2/2, so the ratio bounds both.
+_READOUT_DEVIATIONS = 6.0
+_MAX_STATE_VARIANCE = (math.sqrt(_READOUT_DEVIATIONS**2 + math.log(sys.float_info.max))
+                       - _READOUT_DEVIATIONS) ** 2
+
+
+def _check_readout_noise(p: ClockParams, node: str, eps_name: str) -> None:
+    """Raise ValueError, naming ``node`` and its ``eps_name``, unless the
+    clock's v = eps^2/(2 alpha) is below _MAX_STATE_VARIANCE; an eps^2
+    past the largest float is rejected, not raised as OverflowError."""
+    try:
+        v = p.stationary_state_variance
+    except OverflowError:
+        v = math.inf
+    if not v < _MAX_STATE_VARIANCE:
+        raise ValueError(
+            f"{node} is too noisy: {eps_name}^2/(4 alpha) = {v / 2:.6g} must stay below "
+            f"{_MAX_STATE_VARIANCE / 2:.6g}, or its relative-skew readouts overflow")
 
 
 @dataclass(frozen=True)
@@ -345,8 +374,13 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
     # (numpy's exp, as in the formula: math.exp may differ in the last bit).
     settle = 27.5 * math.log(2.0) / kinds[0].alpha
     limit = np.exp(np.array([-0.25 * p.epsilon**2 / p.alpha for p in kinds]))[row_of][:, None]
-    # before it, c(t) = exp(-0.0) = 1 exactly for a noiseless kind
-    scaled = [(p, (row_of == r)[:, None]) for r, p in enumerate(kinds) if p.epsilon > 0]
+    # Before it, c(t) = exp(-0.0) = 1 exactly for a noiseless kind; a noisy
+    # kind's c(t) multiplies each run of its consecutive rows in place.
+    runs, stop = [], 0
+    for r, group in itertools.groupby(row_of.tolist()):
+        start, stop = stop, stop + len(list(group))
+        if kinds[r].epsilon > 0:
+            runs.append((r, start, stop))
     m = len(params)
     # every chunk's skews and displays are contiguous views of these two
     size = m * (min(chunk_steps, n_steps) + 1)
@@ -370,8 +404,9 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
             skews[:, 1:] *= limit
         else:
             t = (done + 1 + np.arange(k)) * dt
-            for p, rows in scaled:
-                np.multiply(skews[:, 1:], skew_normalizer(t, p), out=skews[:, 1:], where=rows)
+            c = {r: skew_normalizer(t, p) for r, p in enumerate(kinds) if p.epsilon > 0}
+            for r, start, stop in runs:
+                skews[start:stop, 1:] *= c[r]
         seg = np.add(skews[:, 1:], skews[:, :-1], out=u[:, 1:])  # u is spent
         seg *= 0.5 * dt
         seg[:, :1] += tau[:, None]  # no column when k == 0

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from clocklab.clocks import ClockParams, RelParams, clock_chunks
+from clocklab.clocks import ClockParams, RelParams, _check_readout_noise, clock_chunks
 from clocklab.measurement import (
     MAX_TIME,
     DelayModel,
@@ -105,19 +104,6 @@ _SCENARIO_KEYS = {
 }
 _DELAY_KEYS = {"delay.kind", "delay.mean", "delay.spread", "delay.bound"}
 
-# Largest stationary log-skew variance v = eps^2/(2 alpha) of a node whose
-# readouts stay finite.  The symmetrized readout of a link (i, j) forms
-# a_ij/a_ji = c_ij(t)^2 e^(2 mean): |log c_ij(t)| <= |v_j - v_i|/2, and the
-# estimate ``mean`` of x_j - x_i is taken to stay within _READOUT_DEVIATIONS
-# stationary deviations sqrt(v_i + v_j).  With every v <= V, the log of the
-# ratio is then at most V + 2 K sqrt(V) (once V > K^2), which must stay below
-# the log of the largest float.  Each directed estimate a_ij has a log of at
-# most V + K^2/2, so the ratio bounds both.
-_READOUT_DEVIATIONS = 6.0
-_MAX_STATE_VARIANCE = (math.sqrt(_READOUT_DEVIATIONS**2 + math.log(sys.float_info.max))
-                       - _READOUT_DEVIATIONS) ** 2
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one simulation run.
@@ -155,11 +141,7 @@ class Scenario:
         if self.epsilons[0] != 0.0:
             raise ValueError("reference clock must have zero diffusion (epsilon_0 = 0)")
         for m, p in enumerate(self.params):
-            if not p.stationary_state_variance < _MAX_STATE_VARIANCE:
-                raise ValueError(
-                    f"node {m} is too noisy: epsilon_{m}^2/(4 alpha) = "
-                    f"{p.stationary_state_variance / 2:.6g} must stay below "
-                    f"{_MAX_STATE_VARIANCE / 2:.6g}, or its relative-skew readouts overflow")
+            _check_readout_noise(p, f"node {m}", f"epsilon_{m}")
         if not 1 / MAX_TIME <= self.dt <= MAX_TIME:
             raise ValueError(f"dt must be within 2^-500..2^500, got {self.dt!r}")
         if not 0 < self.horizon <= MAX_TIME:
@@ -421,32 +403,29 @@ def read_trace_csv(path) -> list[TraceRow]:
     so CRLF files read as written.  The two ground-truth fields are
     both numbers or both empty (read as None).
     """
+    rows = []
     with open(path) as fh:
         if fh.readline().strip() != TRACE_HEADER:
             raise ValueError(f"line 1: expected trace header {TRACE_HEADER!r}")
-        lines = fh.read().split("\n")
-    rows = []
-    try:
-        for ln, line in enumerate(lines, 2):
+        for ln, line in enumerate(fh, 2):  # one line in memory at a time
             fields = line.split(",")
             if len(fields) != 8:
-                if not line or line.isspace():
+                if line.isspace():
                     continue
                 raise ValueError(f"line {ln}: expected 8 fields, got {len(fields)}")
             kind, src, dst, seq, s, r, t, d = fields
-            d = d.rstrip()
-            if t and d:
-                t, d = float(t), float(d)
-            elif t or d:
-                raise ValueError("one ground-truth field is empty")
-            else:
-                t = d = None
-            rows.append(TraceRow(kind.lstrip(), int(src), int(dst), int(seq),
-                                 float(s), float(r), t, d))
-    except ValueError:
-        if line.count(",") != 7:
-            raise  # the field count
-        raise ValueError(f"line {ln}: malformed trace row {line.strip()!r}") from None
+            try:
+                d = d.rstrip()
+                if t and d:
+                    t, d = float(t), float(d)
+                elif t or d:
+                    raise ValueError("one ground-truth field is empty")
+                else:
+                    t = d = None
+                rows.append(TraceRow(kind.lstrip(), int(src), int(dst), int(seq),
+                                     float(s), float(r), t, d))
+            except ValueError:
+                raise ValueError(f"line {ln}: malformed trace row {line.strip()!r}") from None
     return rows
 
 
@@ -734,19 +713,26 @@ class ProtocolMachine:
 # --------------------------------------------------------------------------
 
 
-# Slots of ground truth per clock in one engine chunk: _CHUNK_STEPS up
-# to 128 clocks; beyond that, fewer, so that a chunk array holds about
-# _CHUNK_VALUES values (4 MiB) whatever the node count; and never fewer
-# than 1 024 (reached at 512 clocks), below which the per-chunk cost
-# shows in the run time.  The loop keeps no chunk's states, so at most
-# three chunk arrays are alive at any time.  No value depends on the
-# width (see clock_chunks).
+# Slots of ground truth per clock in one engine chunk (_chunk_width):
+# _CHUNK_STEPS up to 64 clocks; beyond that, fewer, so that a chunk array
+# holds about _CHUNK_VALUES values (2 MiB) whatever the node count; and
+# never fewer than 1 024 (reached at 256 clocks), below which the
+# per-chunk cost shows in the run time.  So 10 clocks take 4 096 slots,
+# 100 clocks 2 621, and 300 or 1 001 clocks 1 024: a 300-clock chunk
+# array is 300 x 1 025 values, 2.46 MB.  The loop keeps no chunk's
+# states, so at most three chunk arrays are alive at any time.  No
+# value depends on the width (see clock_chunks).
 _CHUNK_STEPS = 4096
-_CHUNK_VALUES = 2**19
+_CHUNK_VALUES = 2**18
 # Delays drawn at once (see draw_delay: any block size gives the same
 # values in order); scipy's truncated-normal sampler costs mostly per
 # call, not per value.
 _DELAY_BLOCK = 256
+
+
+def _chunk_width(clocks: int) -> int:
+    """Slots per engine chunk for a batch of ``clocks`` clocks."""
+    return min(_CHUNK_STEPS, max(1024, _CHUNK_VALUES // clocks))
 
 
 def _delays(m: DelayModel, rng: np.random.Generator):
@@ -782,8 +768,7 @@ def run_scenario(sc: Scenario):
     # (slots start..stop-1) is held at a time.
     n_slots = max(1, int(round(sc.horizon / sc.dt)))
 
-    width = min(_CHUNK_STEPS, max(1024, _CHUNK_VALUES // len(sc.params)))
-    clocks = clock_chunks(sc.params, sc.dt, n_slots, clock_rngs, width)
+    clocks = clock_chunks(sc.params, sc.dt, n_slots, clock_rngs, _chunk_width(len(sc.params)))
     start = stop = 0
     dlinks = sc.directed_links
     machine = ProtocolMachine(sc)

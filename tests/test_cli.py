@@ -384,13 +384,16 @@ def test_simulate_repeated_link_exits_two(tmp_path, capsys):
 
 
 def test_simulate_too_noisy_clock_exits_two(tmp_path, capsys):
-    # epsilon_1^2/(4 alpha) = 227.052, just above the readouts' bound
-    bad = tmp_path / "noisy.scenario"
-    bad.write_text(FAST_SCENARIO.replace("epsilon_1 = 1.0", "epsilon_1 = 95.3"))
-    assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "node 1 is too noisy" in err and "must stay below 227.037" in err
-    assert not list(tmp_path.glob("*.csv"))
+    # epsilon_1^2/(4 alpha) = 227.052, just above the readouts' bound, and
+    # an epsilon_1 whose square is past the largest float
+    for epsilon, value in (("95.3", "227.052"), ("1e160", "inf")):
+        bad = tmp_path / "noisy.scenario"
+        bad.write_text(FAST_SCENARIO.replace("epsilon_1 = 1.0", f"epsilon_1 = {epsilon}"))
+        assert main(["simulate", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"node 1 is too noisy: epsilon_1^2/(4 alpha) = {value} must stay below 227.037" \
+            in err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 # The shipped five-node ring at horizon 0.5, one `key = value` per line.
@@ -499,6 +502,17 @@ def test_allan_argument_errors(tmp_path, capsys):
     save_trajectory(traj, path)
     assert main(["allan", "--intervals", "0.015", "--trajectory", str(path)]) == 2
     assert "not a multiple" in capsys.readouterr().err
+
+
+def test_allan_rejects_a_clock_whose_noise_overflows(capsys):
+    # Scenario's bound on epsilon^2/(4 alpha), checked before any output
+    for epsilon, value in (("1e10", "2.5e+18"), ("1e300", "inf")):
+        assert main(["allan", "--intervals", "0.01", "--alpha", "10", "--epsilon", epsilon,
+                     "--samples", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert f"--epsilon is too noisy: epsilon^2/(4 alpha) = {value} must stay below " \
+            "227.037" in err
 
 
 def test_allan_rejects_a_trajectory_step_that_is_not_positive(tmp_path, capsys):

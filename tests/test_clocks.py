@@ -217,9 +217,13 @@ def test_sample_displays_chunking_invariance(monkeypatch):
 
 
 def test_clock_chunks_mixed_batch_chunking_invariance():
-    # Kinds interleaved across rows; each row draws from its own stream,
-    # so every chunking sees the same normals.
-    params = [ClockParams(10.0, e) for e in (0.0, 1.0, 0.5, 1.0, 0.5)]
+    # Kinds interleaved across rows, one row or several at a time; each
+    # row draws from its own stream, so every chunking sees the same normals.
+    for epsilons in ((0.0, 1.0, 0.5, 1.0, 0.5), (0.0, 1.0, 1.0, 0.5, 0.5, 1.0)):
+        check_chunking_invariance([ClockParams(10.0, e) for e in epsilons])
+
+
+def check_chunking_invariance(params):
     n_steps = 9000
 
     def whole(chunk_steps):
@@ -229,7 +233,7 @@ def test_clock_chunks_mixed_batch_chunking_invariance():
         return [np.concatenate(arrays, axis=1) for arrays in zip(*chunks)]
 
     want = whole(n_steps + 1)
-    assert want[0].shape == (5, n_steps + 1)
+    assert want[0].shape == (len(params), n_steps + 1)
     # 1907 is the first slot at or past the settle time 27.5 ln 2 / alpha,
     # so its chunks take the settled limits while the reference's one
     # chunk takes the formula on those slots.

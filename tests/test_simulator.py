@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import clocklab.simulator as simulator
 from conftest import traced_peak
-from clocklab.clocks import simulate_clock
+from clocklab.clocks import _MAX_STATE_VARIANCE, simulate_clock
 from clocklab.measurement import DELAY_KINDS, DelayModel, offset_delay_estimate
 from clocklab.clocks import RelParams
 from clocklab.network import (
@@ -42,7 +43,7 @@ from clocklab.simulator import (
     _CHUNK_STEPS,
     _CHUNK_VALUES,
     _ERROR_COLUMNS,
-    _MAX_STATE_VARIANCE,
+    _chunk_width,
 )
 from clocklab.smoothing import RelativeEstimates, SyncGraph, jacobi_step
 
@@ -117,6 +118,8 @@ def test_scenario_rejects_clocks_whose_readouts_overflow(tmp_path, alpha):
     with pytest.raises(ValueError, match=r"node 1 is too noisy: epsilon_1\^2/\(4 alpha\) = "
                                          r"227\.06 must stay below 227\.037"):
         noisy_two_node(alpha, 1.0001 * limit)
+    with pytest.raises(ValueError, match=r"epsilon_1\^2/\(4 alpha\) = inf must stay below"):
+        two_node(alpha=alpha, epsilons=(0.0, 1e160))  # epsilon_1^2 is past the largest float
     for seed in range(3):
         for proto in PROTOCOLS:
             sc = noisy_two_node(alpha, 0.9999 * limit, seed=seed, protocol=proto)
@@ -455,6 +458,23 @@ def test_read_trace_csv_tolerates_loose_layout(tmp_path):
         read_trace_csv(path)
 
 
+def test_read_trace_csv_streams_the_file(tmp_path):
+    # The reader holds one line of the file at a time: what it allocates
+    # beyond the rows it returns is a small fraction of the file.
+    rows = [TraceRow("off-rep", k % 7, k % 7 + 1, k, k / 3.0, k / 3.0 + math.pi,
+                     k / 7.0, math.e) for k in range(20_000)]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(rows, path)
+    tracemalloc.start()
+    try:
+        got = read_trace_csv(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == rows
+    assert peak - kept < 0.05 * path.stat().st_size
+
+
 @pytest.mark.parametrize("tail", ["0.5,", ",0.5", "0.5, ", " ,0.5", "0.5,x"])
 def test_read_trace_csv_rejects_half_a_ground_truth_pair(tmp_path, tail):
     path = tmp_path / "half.csv"
@@ -734,21 +754,30 @@ def test_run_memory_does_not_grow_with_the_horizon():
     assert traced_peak(lambda: run_scenario(sc)) < 16 * 2**20
 
 
+def chunk_array_bytes(clocks):
+    """Bytes of one engine chunk array for ``clocks`` clocks."""
+    return clocks * (_chunk_width(clocks) + 1) * 8
+
+
 def test_run_holds_at_most_three_chunk_arrays():
-    # 100 clocks over 20 000 slots: the engine asks for five chunks, and
-    # the three arrays of one (m, _CHUNK_STEPS + 1) chunk set the peak.
+    # 100 clocks over 20 000 slots: the engine asks for eight chunks of
+    # about _CHUNK_VALUES values (100 x 2 622), and the three arrays of
+    # one chunk set the peak.  A short run first makes the imports of a
+    # process's first run, outside the trace.
     sc = line(100, 0.2)
-    chunk_array = 100 * (_CHUNK_STEPS + 1) * 8
-    assert traced_peak(lambda: run_scenario(sc)) < 3.5 * chunk_array
+    assert _chunk_width(100) == _CHUNK_VALUES // 100
+    run_scenario(replace(sc, horizon=1e-3))
+    assert traced_peak(lambda: run_scenario(sc)) < 3.5 * chunk_array_bytes(100)
 
 
 def test_run_chunk_memory_does_not_grow_with_the_node_count():
-    # 300 clocks over 5 000 slots: each chunk array holds about
-    # _CHUNK_VALUES values (300 x 1 748), not 300 x 4 097.  A short run
-    # first makes the imports of a process's first run, outside the trace.
+    # 300 clocks over 5 000 slots: each chunk array is 300 x 1 025 values,
+    # at the 1 024-slot floor, not 300 x 4 097.  A short run first makes
+    # the imports of a process's first run, outside the trace.
     sc = line(300, 0.05)
+    assert _chunk_width(300) == 1024
     run_scenario(replace(sc, horizon=1e-3))
-    assert traced_peak(lambda: run_scenario(sc)) < 3.5 * _CHUNK_VALUES * 8
+    assert traced_peak(lambda: run_scenario(sc)) < 3.5 * chunk_array_bytes(300)
 
 
 @pytest.mark.parametrize("proto", PROTOCOLS)
@@ -951,10 +980,11 @@ _RING = SyncGraph(n=4, edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
 def arbitrary_scenarios(draw):
     """A five-node ring whose grid, noise floor, delay, rates and gaps are
     drawn at a scale where packets flow within a few dozen slots, with up
-    to three of them drawn from anywhere instead."""
-    odd = draw(st.sets(st.sampled_from(("dt", "horizon", "noise_floor", "mean", "spread",
-                                        "bound", "skew_rate", "offset_rate", "skew_gap",
-                                        "roundtrip_gap")), max_size=3))
+    to three of these fields, node 1's epsilon among the candidates,
+    drawn from anywhere instead."""
+    odd = draw(st.sets(st.sampled_from(("epsilon_1", "dt", "horizon", "noise_floor", "mean",
+                                        "spread", "bound", "skew_rate", "offset_rate",
+                                        "skew_gap", "roundtrip_gap")), max_size=3))
 
     def pick(name, usual):
         return draw((_ODD_GAPS if name.endswith("gap") else _ODD_FLOATS)
@@ -969,7 +999,8 @@ def arbitrary_scenarios(draw):
         spread=pick("spread", st.floats(0.0, 1.0).map(lambda k: k * scale)),
         bound=pick("bound", st.none() | st.floats(1.0, 5.0).map(lambda k: k * scale)))
     rate = st.floats(1e-3, 0.49).map(lambda p: p / (2 * len(_RING.edges) * unit))
-    return Scenario(graph=_RING, alpha=10.0, epsilons=(0.0,) + (1.0,) * 4, delay=delay,
+    return Scenario(graph=_RING, alpha=10.0, delay=delay,
+                    epsilons=(0.0, pick("epsilon_1", st.just(1.0)), 1.0, 1.0, 1.0),
                     dt=dt, horizon=pick("horizon", st.floats(1.0, 60.0).map(lambda k: k * unit)),
                     noise_floor=pick("noise_floor", st.floats(1e-12, 1.0)),
                     skew_rate=pick("skew_rate", rate), offset_rate=pick("offset_rate", rate),
