@@ -10,7 +10,15 @@ Every sample path comes from one generator, :func:`clock_chunks`, which
 streams a batch of clocks along a fixed grid one chunk at a time.  Its
 AR(1) recursion of the log-skew state runs in the C kernel behind
 ``scipy.signal.lfilter``, loaded on its own (:func:`_load_ar1_kernel`)
-so that importing this module never imports ``scipy.signal``.  The
+so that importing this module never imports ``scipy.signal``.  A large
+batch draws its normals in one forked child (:class:`_Drawer`), which
+holds nothing but the generators' copies and writes each chunk's
+normals into a ring of two slots in shared memory; the calling process
+holds the chunk buffers, scales the normals out of a slot into them and
+hands the slot back at once, then runs the recursion, the skews and the
+displays, and the caller's own work, while the child draws the next
+chunk into the other slot.  The values are the same as in-process,
+bit for bit, and so are the generators once the last chunk is out.  The
 module also evaluates the closed-form moments and variance bounds of
 all three processes, computes the Allan variance of the skew (from its
 exact series over the expanded correlation kernel, and from display
@@ -21,6 +29,7 @@ across a link between two nodes (:class:`RelParams`).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import importlib.machinery
@@ -28,6 +37,10 @@ import importlib.util
 import itertools
 import logging
 import math
+import mmap
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -323,6 +336,200 @@ def skew_normalizer(t, p: ClockParams):
     return np.exp(rate * (1.0 - np.exp(-2.0 * p.alpha * np.asarray(t, dtype=float))))
 
 
+def _draw_normals(rngs, noisy, out) -> None:
+    """Fill row r of ``out`` with the next normals of ``rngs[r]``, rows in
+    order, or with 0.0 where ``noisy[r]`` is false (drawing nothing)."""
+    for rng, row, draws in zip(rngs, out, noisy):
+        if draws:
+            rng.standard_normal(out=row)
+        else:
+            row[:] = 0.0
+
+
+def _chunk_sizes(n_steps: int, chunk_steps: int):
+    """New grid steps in each chunk of :func:`clock_chunks`."""
+    done = min(chunk_steps - 1, n_steps)  # chunk 0 also holds point 0
+    yield done
+    while done < n_steps:
+        k = min(chunk_steps, n_steps - done)
+        yield k
+        done += k
+
+
+# A batch of two or more chunks that draws at least _FORK_NORMALS normals
+# draws them in one forked child (_Drawer).  Forking a 30-50 MB process
+# takes 1-2 ms, and the parent's first write to each page afterwards takes
+# a fault, up to as much again; 2^20 normals take 16-17 ms to draw, so the
+# child saves at least four times what it costs.  A batch of one chunk
+# never forks: the parent could only wait while the child draws it.  With
+# two ring slots the child draws one chunk while the parent works through
+# the last; a third slot made 300-clock runs no faster, and costs a chunk
+# of memory.
+_FORK_NORMALS = 2**20
+_RING_SLOTS = 2
+
+
+def _can_fork() -> bool:
+    """Whether a batch may fork its drawer here: the platform has
+    ``os.fork`` and CPU affinity, more than one CPU is allowed, and this
+    process is no ``multiprocessing`` worker (``simulate --jobs``), whose
+    sibling workers keep the other CPUs busy."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        return False
+    mp = sys.modules.get("multiprocessing")  # a process it started has it loaded
+    return mp is None or mp.parent_process() is None
+
+
+def _forks(noisy: int, n_steps: int, chunk_steps: int) -> bool:
+    """Whether :func:`clock_chunks` draws the normals of a batch of
+    ``noisy`` noisy clocks over ``n_steps`` steps in a forked child."""
+    return n_steps >= chunk_steps and noisy * n_steps >= _FORK_NORMALS and _can_fork()
+
+
+def _read(fd: int, n: int) -> bytes:
+    """``n`` bytes from pipe ``fd``; EOFError if its one writer closes it,
+    or exits, before it has written them."""
+    data = b""
+    while len(data) < n:
+        part = os.read(fd, n - len(data))
+        if not part:
+            raise EOFError
+        data += part
+    return data
+
+
+def _write(fd: int, data: bytes) -> None:
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _message(kind: bytes, obj) -> bytes:
+    body = pickle.dumps(obj)
+    return kind + len(body).to_bytes(8, "little") + body
+
+
+class _Drawer:
+    """One forked child that draws a batch's normals, chunk after chunk,
+    into a ring of ``_RING_SLOTS`` chunk slots in an anonymous shared
+    ``mmap``.
+
+    The child writes one byte down a pipe per filled slot and the parent
+    one byte up another per slot it has read (:meth:`take`,
+    :meth:`release`).  After the last chunk the child sends each distinct
+    generator's ``bit_generator.state``, which the parent adopts, so the
+    generators end where drawing in-process leaves them; an exception in
+    the child is sent instead and raised in the parent.  Each side holds
+    the only write end of the pipe the other reads, so a side that dies
+    closes it: the parent then raises, the child exits, neither hangs.
+    The child pins itself to the allowed CPUs other than the one the
+    parent runs on at the fork; the parent's own affinity is left alone.
+    """
+
+    def __init__(self, rngs, noisy, m: int, n_steps: int, chunk_steps: int):
+        # forked batches have two chunks or more: each slot is one full chunk
+        self.ring = np.frombuffer(mmap.mmap(-1, 8 * _RING_SLOTS * m * chunk_steps),
+                                  dtype=np.float64).reshape(_RING_SLOTS, m * chunk_steps)
+        self.m, self.taken = m, 0
+        self.gens = list({id(g): g for g in rngs}.values())  # a generator may repeat
+        cpu = _current_cpu()
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            raise
+        if pid == 0:  # the child: draw, report and exit, never return
+            code = 1
+            try:
+                os.close(ready_r)
+                os.close(free_w)
+                self._draw(rngs, noisy, n_steps, chunk_steps, cpu, ready_w, free_r)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(ready_w)
+        os.close(free_r)
+        self.pid, self.ready, self.free = pid, ready_r, free_w
+
+    def _draw(self, rngs, noisy, n_steps, chunk_steps, cpu, ready, free) -> None:
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+        try:
+            for i, k in enumerate(_chunk_sizes(n_steps, chunk_steps)):
+                if i >= _RING_SLOTS:
+                    _read(free, 1)  # the parent has read slot i % _RING_SLOTS
+                _draw_normals(rngs, noisy, self._slot(i, k))
+                _write(ready, b"r")
+            msg = _message(b"s", [g.bit_generator.state for g in self.gens])
+        except (EOFError, BrokenPipeError):  # the parent is gone
+            return
+        except BaseException as exc:
+            try:
+                msg = _message(b"e", exc)
+            except Exception:
+                msg = _message(b"e", RuntimeError(f"{type(exc).__name__}: {exc}"))
+        _write(ready, msg)
+
+    def _slot(self, i: int, k: int) -> np.ndarray:
+        return self.ring[i % _RING_SLOTS, :self.m * k].reshape(self.m, k)
+
+    def _receive(self, size: int) -> bytes:
+        try:
+            return _read(self.ready, size)
+        except EOFError:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = 0
+            raise RuntimeError(f"the clock drawer ended with exit code "
+                               f"{os.waitstatus_to_exitcode(status)} before its last chunk") from None
+
+    def _expect(self, kind: bytes):
+        """Read the child's next message, of ``kind``, or raise the
+        exception it sent instead; return a message's object, if any."""
+        got = self._receive(1)
+        if got == b"r" == kind:
+            return None
+        obj = pickle.loads(self._receive(int.from_bytes(self._receive(8), "little")))
+        if got != kind:
+            raise obj
+        return obj
+
+    def take(self, k: int, last: bool) -> np.ndarray:
+        """The next chunk's ``(m, k)`` normals, drawn in the child; the slot
+        is the child's again after :meth:`release`."""
+        self._expect(b"r")
+        slot, self.taken = self._slot(self.taken, k), self.taken + 1
+        if last:  # the child has drawn its last chunk: adopt the states, reap it
+            for g, state in zip(self.gens, self._expect(b"s")):
+                g.bit_generator.state = state
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        return slot
+
+    def release(self) -> None:
+        if self.pid:  # a child that has drawn its last chunk may be gone: no matter
+            with contextlib.suppress(BrokenPipeError):
+                _write(self.free, b"f")
+
+    def close(self) -> None:
+        """Kill and reap the child if it is still there; close the pipes."""
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        os.close(self.ready)
+        os.close(self.free)
+
+
+def _current_cpu() -> int:
+    """The CPU this process runs on (field 39 of ``/proc/self/stat``)."""
+    with open("/proc/self/stat", "rb") as fh:
+        return int(fh.read().rsplit(b")", 1)[1].split()[36])
+
+
 def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
     """Stream grid points 0..n_steps of a batch of clocks that share ``alpha``.
 
@@ -344,16 +551,34 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
     ``8 m (chunk_steps + 1)`` bytes: callers with many clocks pass a
     narrower chunk to bound it.
 
+    A batch of two chunks or more that draws at least ``_FORK_NORMALS``
+    normals, on a platform with ``os.fork`` and more than one allowed
+    CPU and outside a ``multiprocessing`` worker, draws them in one
+    forked child (:class:`_Drawer`) while this process does the rest of
+    the arithmetic and whatever the caller does with each chunk; every
+    value is the same either way.  The child is reaped once the last
+    chunk is taken, and killed and reaped if the generator is closed
+    early or raises.  Nothing else may use ``rngs`` until the batch is
+    exhausted or closed: a forked batch moves them only when its last
+    chunk is taken (then to where drawing in-process leaves them), so
+    one closed earlier leaves them unmoved, while an in-process batch
+    leaves them after the last chunk it drew.
+
     Memory: a caller that drops each chunk before asking for the next
-    keeps at most three chunk arrays alive.  The normals, skews and
-    displays of every chunk are views of two buffers of the widest
-    chunk, allocated once (the normals are drawn and scaled in place,
-    and the displays summed in place over them once spent); only the
-    states are fresh, and the generator drops them before it makes the
-    next chunk.  So asking for the next chunk overwrites the skews and
-    displays of the last: copy what must outlive it.  Reusing the
-    buffers also keeps the allocator from handing memory back each
-    chunk only to fault it in again.
+    keeps at most three chunk arrays alive in this process.  The
+    normals, skews and displays of every chunk are views of two buffers
+    of the widest chunk, allocated once (the normals are scaled into
+    one of them, and the displays summed in place over them once
+    spent); only the states are fresh, and the generator drops them
+    before it makes the next chunk.  So asking for the next chunk
+    overwrites the skews and displays of the last: copy what must
+    outlive it.  A forked batch adds its ring: ``_RING_SLOTS`` slots of
+    one chunk's normals, shared with the child.  The child fills a slot,
+    this process scales the normals out of it into its own buffer and
+    hands the slot back at once, so the child may draw up to
+    ``_RING_SLOTS`` chunks ahead.  Reusing the buffers also keeps the
+    allocator from handing memory back each chunk only to fault it in
+    again.
     """
     if chunk_steps < 1:
         raise ValueError(f"chunk_steps must be at least 1, got {chunk_steps!r}")
@@ -386,39 +611,44 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
     size = m * (min(chunk_steps, n_steps) + 1)
     u_buf, skew_buf = np.empty(size), np.empty(size)
     x, a, tau = np.zeros(m), np.ones(m), np.zeros(m)   # grid point 0
-    done, lead, k = 0, 0, min(chunk_steps - 1, n_steps)  # chunk 0 also holds point 0
-    while True:
-        # column 0 is grid point ``done``, the last one generated
-        u = u_buf[:m * (k + 1)].reshape(m, k + 1)
-        u[:, 0] = x
-        for rng, row, draws in zip(rngs, u, noisy):
-            if draws:
-                rng.standard_normal(out=row[1:])
+    drawer = None
+    if _forks(sum(noisy), n_steps, chunk_steps):
+        with contextlib.suppress(OSError):  # no process or memory to spare: draw here
+            drawer = _Drawer(rngs, noisy, m, n_steps, chunk_steps)
+    try:
+        done, lead = 0, 0
+        for k in _chunk_sizes(n_steps, chunk_steps):
+            # column 0 is grid point ``done``, the last one generated
+            u = u_buf[:m * (k + 1)].reshape(m, k + 1)
+            u[:, 0] = x
+            if drawer is None:
+                _draw_normals(rngs, noisy, u[:, 1:])
+                u[:, 1:] *= noise_std
             else:
-                row[1:] = 0.0
-        u[:, 1:] *= noise_std
-        states = ar1(num, den, u, 1)  # x_j = decay x_{j-1} + u_j
-        skews = np.exp(states, out=skew_buf[:m * (k + 1)].reshape(m, k + 1))
-        skews[:, 0] = a
-        if (done + 1) * dt >= settle:  # the chunk's first time: all of it settled
-            skews[:, 1:] *= limit
-        else:
-            t = (done + 1 + np.arange(k)) * dt
-            c = {r: skew_normalizer(t, p) for r, p in enumerate(kinds) if p.epsilon > 0}
-            for r, start, stop in runs:
-                skews[start:stop, 1:] *= c[r]
-        seg = np.add(skews[:, 1:], skews[:, :-1], out=u[:, 1:])  # u is spent
-        seg *= 0.5 * dt
-        seg[:, :1] += tau[:, None]  # no column when k == 0
-        np.cumsum(seg, axis=1, out=seg)
-        u[:, 0] = tau  # u now holds the displays
-        x, a, tau = states[:, -1].copy(), skews[:, -1].copy(), u[:, -1].copy()
-        yield states[:, lead:], skews[:, lead:], u[:, lead:]
-        del states  # the one fresh array goes before the next chunk's
-        done += k
-        if done >= n_steps:
-            return
-        lead, k = 1, min(chunk_steps, n_steps - done)
+                np.multiply(drawer.take(k, done + k >= n_steps), noise_std, out=u[:, 1:])
+                drawer.release()
+            states = ar1(num, den, u, 1)  # x_j = decay x_{j-1} + u_j
+            skews = np.exp(states, out=skew_buf[:m * (k + 1)].reshape(m, k + 1))
+            skews[:, 0] = a
+            if (done + 1) * dt >= settle:  # the chunk's first time: all of it settled
+                skews[:, 1:] *= limit
+            else:
+                t = (done + 1 + np.arange(k)) * dt
+                c = {r: skew_normalizer(t, p) for r, p in enumerate(kinds) if p.epsilon > 0}
+                for r, start, stop in runs:
+                    skews[start:stop, 1:] *= c[r]
+            seg = np.add(skews[:, 1:], skews[:, :-1], out=u[:, 1:])  # u is spent
+            seg *= 0.5 * dt
+            seg[:, :1] += tau[:, None]  # no column when k == 0
+            np.cumsum(seg, axis=1, out=seg)
+            u[:, 0] = tau  # u now holds the displays
+            x, a, tau = states[:, -1].copy(), skews[:, -1].copy(), u[:, -1].copy()
+            yield states[:, lead:], skews[:, lead:], u[:, lead:]
+            del states  # the one fresh array goes before the next chunk's
+            done, lead = done + k, 1
+    finally:
+        if drawer is not None:
+            drawer.close()
 
 
 def simulate_clock(p: ClockParams, horizon: float, dt: float, seed: int) -> ClockTrajectory:
@@ -452,19 +682,23 @@ def simulate_clock(p: ClockParams, horizon: float, dt: float, seed: int) -> Cloc
                            displays=displays[0], seed=seed)
 
 
-# Chunk of sample_displays: 65 536 points make each of the three live
-# chunk arrays 512 KB, small enough to stay in cache.  10 000 windows of
-# 1 s at dt = 1e-3 trace a 3 MiB peak, against 70 MiB with 1 000 000-point
-# chunks, and take 0.33 s against 0.44 s (one core of a 2-CPU x86 host);
-# 4 096-point chunks lose that gain to per-chunk overhead (0.47 s).
-_DISPLAY_CHUNK_STEPS = 65_536
+# Chunk of sample_displays: 32 768 points make each of the three live
+# chunk arrays, and each of the two ring slots of a forked batch, 256 KB,
+# small enough to stay in cache.  10 000 windows of 1 s at dt = 1e-3 (one
+# core of a 2-CPU x86 host) take 0.25-0.26 s in-process, at this width
+# or at 65 536 points, and trace a 1.5 MiB peak (3 MiB at 65 536 points,
+# 70 MiB at 1 000 000); 4 096-point chunks lost to per-chunk overhead.
+# With the normals drawn in a forked child on the second CPU they take
+# 0.13-0.17 s, and the ring adds 0.5 MiB: this width keeps the peak below
+# that of 65 536 points drawn in-process at no cost in time.
+_DISPLAY_CHUNK_STEPS = 32_768
 
 
 def sample_displays(p: ClockParams, spacing: float, count: int, dt: float,
                     seed: int) -> np.ndarray:
     """Display values tau(0), tau(spacing), ..., tau(count*spacing).
 
-    Streams the path through :func:`clock_chunks`, 65 536 grid points
+    Streams the path through :func:`clock_chunks`, 32 768 grid points
     at a time, from one generator seeded with ``seed``, so that long
     horizons (used by empirical Allan-variance estimation) never
     materialize the full path.

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from clocklab.clocks import ClockParams, RelParams, _check_readout_noise, clock_chunks
+from clocklab.clocks import ClockParams, RelParams, _check_readout_noise, _forks, clock_chunks
 from clocklab.measurement import (
     MAX_TIME,
     DelayModel,
@@ -86,6 +86,8 @@ __all__ = [
 PROTOCOLS = ("SS", "Hybrid", "MBCSP")
 TRACE_HEADER = "kind,src,dst,seq,s_stamp,r_stamp,true_send_t,true_delay"
 STAMP_DIGITS = 12
+# Traces and scenarios are read and written in this encoding, whatever the locale.
+_TEXT_ENCODING = "utf-8"
 
 
 def quantize_stamp(x: float) -> float:
@@ -202,15 +204,29 @@ def _parse_value(key: str, raw: str):
     return float(raw)
 
 
+def _check_decoded(line: str, ln: int) -> None:
+    """Raise ValueError naming line ``ln`` if it held a byte that is not
+    UTF-8 (read with ``errors="surrogateescape"``, which keeps such a
+    byte as a lone surrogate)."""
+    try:
+        line.encode(_TEXT_ENCODING)
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ValueError(f"line {ln}: byte 0x{byte:02x} at column {exc.start + 1} "
+                         f"is not {_TEXT_ENCODING}") from None
+
+
 def read_scenario(path) -> Scenario:
-    """Parse a ``key = value`` scenario file with ``[section]`` headers;
-    a key set twice raises, naming both lines."""
+    """Parse a ``key = value`` scenario file with ``[section]`` headers,
+    in UTF-8; a key set twice raises, naming both lines."""
     values: dict[str, object] = {}
     epsilons: dict[int, float] = {}
     set_on: dict[str | int, int] = {}  # key, or epsilon's node -> line that set it
     section = ""
-    with open(path) as fh:
+    with open(path, encoding=_TEXT_ENCODING, errors="surrogateescape") as fh:
         for ln, raw in enumerate(fh, 1):
+            if not raw.isascii():
+                _check_decoded(raw, ln)
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -385,7 +401,7 @@ _STAMPS_LINE = "%s,%s,%s,%s,%.17g,%.17g,,\n"
 
 def write_trace_csv(rows, path) -> None:
     """One row per delivered packet, in arrival-processing order."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding=_TEXT_ENCODING) as fh:
         fh.write(TRACE_HEADER + "\n")
         fh.writelines(
             _TRACE_LINE % (r.kind, r.src, r.dst, r.seq, r.s_stamp, r.r_stamp,
@@ -401,13 +417,19 @@ def read_trace_csv(path) -> list[TraceRow]:
 
     Blank lines and whitespace around a line or a number are ignored,
     so CRLF files read as written.  The two ground-truth fields are
-    both numbers or both empty (read as None).
+    both numbers or both empty (read as None).  The file is read as
+    UTF-8, whatever the locale (a trace is ASCII).
     """
     rows = []
-    with open(path) as fh:
-        if fh.readline().strip() != TRACE_HEADER:
+    with open(path, encoding=_TEXT_ENCODING, errors="surrogateescape") as fh:
+        header = fh.readline()
+        if not header.isascii():
+            _check_decoded(header, 1)
+        if header.strip() != TRACE_HEADER:
             raise ValueError(f"line 1: expected trace header {TRACE_HEADER!r}")
         for ln, line in enumerate(fh, 2):  # one line in memory at a time
+            if not line.isascii():
+                _check_decoded(line, ln)
             fields = line.split(",")
             if len(fields) != 8:
                 if line.isspace():
@@ -717,11 +739,18 @@ class ProtocolMachine:
 # _CHUNK_STEPS up to 64 clocks; beyond that, fewer, so that a chunk array
 # holds about _CHUNK_VALUES values (2 MiB) whatever the node count; and
 # never fewer than 1 024 (reached at 256 clocks), below which the
-# per-chunk cost shows in the run time.  So 10 clocks take 4 096 slots,
-# 100 clocks 2 621, and 300 or 1 001 clocks 1 024: a 300-clock chunk
-# array is 300 x 1 025 values, 2.46 MB.  The loop keeps no chunk's
-# states, so at most three chunk arrays are alive at any time.  No
-# value depends on the width (see clock_chunks).
+# per-chunk cost shows in the run time.  A batch whose normals a forked
+# child draws (see clock_chunks) takes half that, floor included: the
+# child's ring holds two more chunks of normals, and the per-row draw
+# loop, whose cost grows with the chunk count, runs in the child.  Drawn
+# in this process, 300 clocks at the half width ran line300's Hybrid and
+# MBCSP 5-8 % slower (0 of 12 alternating rounds faster, one CPU).  So
+# 10 clocks take 4 096 slots, 100 clocks 2 621 (1 310 forked), and 300
+# or 1 001 clocks 1 024 (512 forked): a 300-clock chunk array is
+# 300 x 1 025 values, 2.46 MB, or forked 300 x 513, 1.23 MB, beside a
+# ring of 2 x 300 x 512.  The loop keeps no chunk's states, so at most
+# three chunk arrays are alive in this process at any time.  No value
+# depends on the width (see clock_chunks).
 _CHUNK_STEPS = 4096
 _CHUNK_VALUES = 2**18
 # Delays drawn at once (see draw_delay: any block size gives the same
@@ -730,8 +759,12 @@ _CHUNK_VALUES = 2**18
 _DELAY_BLOCK = 256
 
 
-def _chunk_width(clocks: int) -> int:
-    """Slots per engine chunk for a batch of ``clocks`` clocks."""
+def _chunk_width(clocks: int, noisy: int, n_slots: int) -> int:
+    """Slots per engine chunk for a batch of ``clocks`` clocks, ``noisy``
+    of them noisy, over ``n_slots`` slots."""
+    forked = min(_CHUNK_STEPS, max(512, _CHUNK_VALUES // 2 // clocks))
+    if _forks(noisy, n_slots, forked):
+        return forked
     return min(_CHUNK_STEPS, max(1024, _CHUNK_VALUES // clocks))
 
 
@@ -768,7 +801,8 @@ def run_scenario(sc: Scenario):
     # (slots start..stop-1) is held at a time.
     n_slots = max(1, int(round(sc.horizon / sc.dt)))
 
-    clocks = clock_chunks(sc.params, sc.dt, n_slots, clock_rngs, _chunk_width(len(sc.params)))
+    width = _chunk_width(len(sc.params), sum(p.epsilon > 0 for p in sc.params), n_slots)
+    clocks = clock_chunks(sc.params, sc.dt, n_slots, clock_rngs, width)
     start = stop = 0
     dlinks = sc.directed_links
     machine = ProtocolMachine(sc)
@@ -828,47 +862,50 @@ def run_scenario(sc: Scenario):
         elif row.kind != "skew-a":  # after skew-a, skew-b is still to come
             del deadlines[row.seq]
 
-    while heap:
-        slot = heap[0][0]
-        if slot > n_slots:
-            break
-        while slot >= stop:
-            skews, displays = next(clocks)[1:]  # the states are never read
-            start, stop = stop, stop + displays.shape[1]
-        arrivals, sends, starts = [], [], []
-        while heap and heap[0][0] == slot:
-            _, _, kind, data = heapq.heappop(heap)
-            if kind == "arrive":
-                arrivals.append(data)
-            elif kind == "send":
-                sends.append(data)
-            else:
-                starts.append(kind)
-        for row in arrivals:
-            handle_arrival(slot, row)
-        for kind in starts:
-            p_kind = p_skew if kind == "start-skew" else p_off
-            src, dst = dlinks[int(rng_sched.integers(len(dlinks)))]
-            xid_counter += 1
-            deadlines[xid_counter] = slot + timeout_slots
-            if kind == "start-skew":
-                sends.append(TraceRow("skew-a", src, dst, xid_counter))
-                push(slot + sc.skew_gap, "send", TraceRow("skew-b", src, dst, xid_counter))
-            else:
-                sends.append(TraceRow("off-req", src, dst, xid_counter))
-            push(slot + int(rng_sched.geometric(p_kind)), kind, None)
-        if sends:
-            live = [row for row in sends if row.seq in deadlines]
-            admitted, dropped = mac_arbitrate(live, rng_mac)
-            counts["collisions"] += len(dropped)
-            for row in dropped:
-                del deadlines[row.seq]
-            for row in sorted(admitted, key=lambda r: r.seq):
-                dslots = max(1, int(round(next(delays) / sc.dt)))
-                row.s_stamp = stamp(row.src, slot)
-                row.true_send_t, row.true_delay = slot * sc.dt, dslots * sc.dt
-                if slot + dslots <= n_slots:
-                    push(slot + dslots, "arrive", row)
+    try:
+        while heap:
+            slot = heap[0][0]
+            if slot > n_slots:
+                break
+            while slot >= stop:
+                skews, displays = next(clocks)[1:]  # the states are never read
+                start, stop = stop, stop + displays.shape[1]
+            arrivals, sends, starts = [], [], []
+            while heap and heap[0][0] == slot:
+                _, _, kind, data = heapq.heappop(heap)
+                if kind == "arrive":
+                    arrivals.append(data)
+                elif kind == "send":
+                    sends.append(data)
+                else:
+                    starts.append(kind)
+            for row in arrivals:
+                handle_arrival(slot, row)
+            for kind in starts:
+                p_kind = p_skew if kind == "start-skew" else p_off
+                src, dst = dlinks[int(rng_sched.integers(len(dlinks)))]
+                xid_counter += 1
+                deadlines[xid_counter] = slot + timeout_slots
+                if kind == "start-skew":
+                    sends.append(TraceRow("skew-a", src, dst, xid_counter))
+                    push(slot + sc.skew_gap, "send", TraceRow("skew-b", src, dst, xid_counter))
+                else:
+                    sends.append(TraceRow("off-req", src, dst, xid_counter))
+                push(slot + int(rng_sched.geometric(p_kind)), kind, None)
+            if sends:
+                live = [row for row in sends if row.seq in deadlines]
+                admitted, dropped = mac_arbitrate(live, rng_mac)
+                counts["collisions"] += len(dropped)
+                for row in dropped:
+                    del deadlines[row.seq]
+                for row in sorted(admitted, key=lambda r: r.seq):
+                    dslots = max(1, int(round(next(delays) / sc.dt)))
+                    row.s_stamp = stamp(row.src, slot)
+                    row.true_send_t, row.true_delay = slot * sc.dt, dslots * sc.dt
+                    if slot + dslots <= n_slots:
+                        push(slot + dslots, "arrive", row)
+    finally:
+        clocks.close()  # on a raise too: a forked clock drawer ends here
 
     return compute_metrics(errors, counts), trace
 

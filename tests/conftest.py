@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from clocklab import clocks
 from clocklab.clocks import ClockParams, clock_chunks
 
 
@@ -60,10 +65,57 @@ def save_trajectory(traj, path) -> None:
 
 
 def traced_peak(fn) -> int:
-    """Peak bytes that ``tracemalloc`` traces while ``fn()`` runs."""
+    """Peak bytes that ``tracemalloc`` traces while ``fn()`` runs, plus the
+    bytes of every ``mmap`` made meanwhile: ``tracemalloc`` cannot see the
+    shared ring of a forked clock batch (see ``clock_chunks``)."""
+    mapped, real = [], mmap.mmap
+
+    def recorded(*args, **kwargs):
+        m = real(*args, **kwargs)
+        mapped.append(len(m))
+        return m
+
+    mmap.mmap = recorded
     tracemalloc.start()
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] + sum(mapped)
     finally:
         tracemalloc.stop()
+        mmap.mmap = real
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Clock batches of any size but one chunk draw their normals in a
+    forked child; returns the list of pids that ``os.fork`` gives this
+    process."""
+    if not clocks._can_fork():
+        pytest.skip("clock batches draw in-process here: no os.fork or no second CPU")
+    monkeypatch.setattr(clocks, "_FORK_NORMALS", 1)
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def in_process(monkeypatch, fn):
+    """``fn()`` with every clock batch drawn in this process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(clocks, "_FORK_NORMALS", math.inf)
+        return fn()
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -610,6 +610,18 @@ def test_replay_missing_trace_exits_two(fast_scenario, tmp_path):
     assert main(["replay", str(tmp_path / "none.csv"), str(fast_scenario)]) == 2
 
 
+def test_replay_names_the_line_of_an_undecodable_byte(fast_scenario, tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["simulate", str(fast_scenario), "--out", str(out)]) == 0
+    trace = out / "fast-seed3-trace.csv"
+    lines = trace.read_bytes().splitlines(keepends=True)
+    assert len(lines) > 3
+    lines[2] = lines[2].replace(b",", b",\xff", 1)
+    trace.write_bytes(b"".join(lines))
+    assert main(["replay", str(trace), str(fast_scenario)]) == 2
+    assert "line 3: byte 0xff at column" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def ring_trace(tmp_path_factory):
     out = tmp_path_factory.mktemp("ring")

@@ -6,8 +6,12 @@ adaptive quadrature of the defining integrals (not from the code under
 test).
 """
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
 import re
+import signal
 import warnings
 
 import numpy as np
@@ -16,7 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import batch_paths, save_trajectory, sem, traced_peak, var_se
+from conftest import (
+    batch_paths,
+    in_process,
+    no_child_left,
+    save_trajectory,
+    sem,
+    traced_peak,
+    var_se,
+)
 from clocklab import clocks
 from clocklab.clocks import (
     AllanPoint,
@@ -279,6 +291,93 @@ def test_clock_chunks_needs_one_generator_per_clock():
     for rngs in ([], [rng], [rng] * 3):
         with pytest.raises(ValueError, match="one generator per clock"):
             next(clock_chunks([P10_1] * 2, 1e-3, 10, rngs, 4))
+
+
+@pytest.mark.parametrize("chunk_steps", [1, 7, 77])
+def test_forked_sample_displays_are_the_in_process_ones(monkeypatch, forks, chunk_steps):
+    monkeypatch.setattr(clocks, "_DISPLAY_CHUNK_STEPS", chunk_steps)
+
+    def sampled():
+        return sample_displays(P10_1, spacing=0.05, count=10, dt=0.001, seed=99).tobytes()
+
+    assert sampled() == in_process(monkeypatch, sampled)
+    assert len(forks) == 1 and no_child_left()
+
+
+def test_forked_draws_leave_each_generator_where_in_process_draws_do(monkeypatch, forks):
+    # One generator shared by every row, as batch_paths passes it, and a
+    # generator per row beside a noiseless row; chunks fill and drain
+    # the ring many times over.
+    params = [ClockParams(10.0, e) for e in (1.0, 0.0, 0.5, 1.0)]
+
+    def drawn(shared):
+        rngs = ([np.random.default_rng(5)] * 4 if shared
+                else [np.random.default_rng(s) for s in range(4)])
+        arrays = [a.tobytes() for chunk in clock_chunks(params, 1e-3, 3000, rngs, 100)
+                  for a in chunk]  # copied before the next chunk overwrites them
+        return arrays, [g.random() for g in rngs]
+
+    for shared in (True, False):
+        assert drawn(shared) == in_process(monkeypatch, lambda: drawn(shared))
+    assert len(forks) == 2 and no_child_left()
+
+
+def test_a_batch_of_one_chunk_does_not_fork(forks):
+    # The parent could only wait while the child drew its one chunk.
+    params, rngs = [P10_1] * 2, [np.random.default_rng(0)] * 2
+    next(clock_chunks(params, 1e-3, 99, rngs, 100))  # points 0..99: one chunk
+    simulate_clock(P10_1, horizon=1.0, dt=1e-3, seed=0)
+    assert forks == []
+    for _ in clock_chunks(params, 1e-3, 100, rngs, 100):  # point 100 starts a second
+        pass
+    assert len(forks) == 1 and no_child_left()
+
+
+def test_pool_workers_draw_in_process(forks):
+    # The sibling workers of ``simulate --jobs`` keep the other CPUs busy.
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
+        assert pool.submit(clocks._can_fork).result() is False
+    assert clocks._can_fork()
+
+
+class FailingGenerator:
+    def standard_normal(self, out):
+        raise ArithmeticError("no normals today")
+
+
+def test_clock_drawer_error_is_raised_in_the_parent(forks):
+    with pytest.raises(ArithmeticError, match="no normals today"):
+        next(clock_chunks([P10_1] * 2, 1e-3, 1000, [FailingGenerator()] * 2, 100))
+    assert len(forks) == 1 and no_child_left()
+
+
+def test_killed_clock_drawer_makes_the_parent_raise(forks):
+    chunks = clock_chunks([P10_1] * 2, 1e-3, 10_000, [np.random.default_rng(0)] * 2, 100)
+    next(chunks)  # the child is some chunks ahead, waiting for a free slot
+    os.kill(forks[0], signal.SIGKILL)
+    with pytest.raises(RuntimeError, match="clock drawer ended with exit code -9"):
+        for _ in chunks:
+            pass
+    assert no_child_left()
+
+
+def test_no_clock_drawer_outlives_its_batch(forks):
+    def batch():
+        return clock_chunks([P10_1] * 2, 1e-3, 10_000, [np.random.default_rng(0)] * 2, 100)
+
+    for _ in batch():  # a full run
+        pass
+    assert no_child_left()
+    chunks = batch()
+    next(chunks)
+    chunks.close()
+    assert no_child_left()
+    with pytest.raises(ZeroDivisionError):
+        for k, _ in enumerate(batch()):  # the consumer raises
+            k / (k - 3)
+    assert no_child_left()
+    assert len(forks) == 3
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 65_537), (10, 4_097), (300, 1_748), (300, 4_097)])

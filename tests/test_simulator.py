@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clocklab.simulator as simulator
-from conftest import traced_peak
+import clocklab.clocks as clocks_module
+from conftest import in_process, no_child_left, traced_peak
 from clocklab.clocks import _MAX_STATE_VARIANCE, simulate_clock
 from clocklab.measurement import DELAY_KINDS, DelayModel, offset_delay_estimate
 from clocklab.clocks import RelParams
@@ -41,7 +42,6 @@ from clocklab.simulator import (
     write_metrics_csv,
     write_trace_csv,
     _CHUNK_STEPS,
-    _CHUNK_VALUES,
     _ERROR_COLUMNS,
     _chunk_width,
 )
@@ -223,6 +223,19 @@ def test_read_scenario_errors(tmp_path):
         parse("nodes = 1\nedges =\nalpha = 10\ndelay.kind = constant\ndelay.mean = 1e-3\n")
     with pytest.raises(ValueError, match="zero diffusion"):
         parse(ok + "epsilon_0 = 0.5\n")
+
+
+def test_read_scenario_is_utf8_and_names_an_undecodable_line(tmp_path, monkeypatch):
+    # A UTF-8 comment reads in any locale; a byte that is not UTF-8 is
+    # a malformed line, named like the others.
+    ok = "nodes = 2\nedges = 0-1\nalpha = 10\nepsilon_1 = 1\ndelay.kind = constant\ndelay.mean = 1e-3\n"
+    path = tmp_path / "sc.scenario"
+    path.write_bytes("# \u03b5\u2081 is node 1's diffusion\n".encode() + ok.encode())
+    monkeypatch.setattr("locale.getpreferredencoding", lambda *args: "ascii")
+    assert read_scenario(path).epsilons == (0.0, 1.0)
+    path.write_bytes(ok.replace("alpha = 10", "alpha = 10 # \xe9t\xe9").encode("latin-1"))
+    with pytest.raises(ValueError, match="^line 3: byte 0xe9 at column 14 is not utf-8$"):
+        read_scenario(path)
 
 
 def test_read_scenario_rejects_a_repeated_key(tmp_path):
@@ -473,6 +486,21 @@ def test_read_trace_csv_streams_the_file(tmp_path):
         tracemalloc.stop()
     assert got == rows
     assert peak - kept < 0.05 * path.stat().st_size
+
+
+def test_read_trace_csv_names_an_undecodable_line(tmp_path):
+    # Decoded as UTF-8 whatever the locale; an invalid byte on any line,
+    # the header included, raises with that line's number.
+    path = tmp_path / "bad.csv"
+    good = [TRACE_HEADER, "skew-a,0,1,1,0.5,0.6,0.1,0.2", "skew-b,0,1,1,0.5,0.6,0.1,0.2"]
+    for ln in (1, 2, 3):
+        lines = [line.encode() for line in good]
+        lines[ln - 1] = lines[ln - 1].replace(b",", b",\xff", 1)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        column = lines[ln - 1].index(b"\xff") + 1
+        with pytest.raises(ValueError, match=f"^line {ln}: byte 0xff at column {column} "
+                                             "is not utf-8$"):
+            read_trace_csv(path)
 
 
 @pytest.mark.parametrize("tail", ["0.5,", ",0.5", "0.5, ", " ,0.5", "0.5,x"])
@@ -754,45 +782,82 @@ def test_run_memory_does_not_grow_with_the_horizon():
     assert traced_peak(lambda: run_scenario(sc)) < 16 * 2**20
 
 
-def chunk_array_bytes(clocks):
-    """Bytes of one engine chunk array for ``clocks`` clocks."""
-    return clocks * (_chunk_width(clocks) + 1) * 8
+def engine_chunks(clocks, n_slots):
+    """Slots per engine chunk of a run of ``clocks`` clocks (one of them the
+    noiseless reference) over ``n_slots`` slots, whether a forked child
+    draws its normals, and the bytes of one chunk array and of the
+    child's ring (0 if the run draws them in-process)."""
+    width = _chunk_width(clocks, clocks - 1, n_slots)
+    forked = clocks_module._forks(clocks - 1, n_slots, width)
+    ring = clocks_module._RING_SLOTS * clocks * width * 8 if forked else 0
+    return width, forked, clocks * (width + 1) * 8, ring
 
 
-def test_run_holds_at_most_three_chunk_arrays():
-    # 100 clocks over 20 000 slots: the engine asks for eight chunks of
-    # about _CHUNK_VALUES values (100 x 2 622), and the three arrays of
-    # one chunk set the peak.  A short run first makes the imports of a
-    # process's first run, outside the trace.
+def own_state_peak(sc, monkeypatch):
+    """Traced peak of ``run_scenario(sc)`` with 8-slot engine chunks: the
+    run's own state, with next to nothing of its clocks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_chunk_width", lambda *args: 8)
+        return traced_peak(lambda: run_scenario(sc))
+
+
+def test_run_holds_at_most_three_chunk_arrays(monkeypatch):
+    # 100 clocks over 20 000 slots: the engine asks for chunks of about
+    # _CHUNK_VALUES values (100 x 2 622), or of half that (100 x 1 311)
+    # if a forked child draws the normals.  What they add to the run's
+    # own state is the three arrays of one chunk and the child's ring,
+    # with half an array to spare; the whole peak stays below the 7.34 MB
+    # of three and a half 100 x 2 622 arrays that bounded it before the
+    # ring.  A short run first makes the imports of a process's first run,
+    # outside the trace.
     sc = line(100, 0.2)
-    assert _chunk_width(100) == _CHUNK_VALUES // 100
+    width, forked, array, ring = engine_chunks(100, 20_000)
+    assert width == (1310 if forked else 2621)
     run_scenario(replace(sc, horizon=1e-3))
-    assert traced_peak(lambda: run_scenario(sc)) < 3.5 * chunk_array_bytes(100)
+    peak = traced_peak(lambda: run_scenario(sc))
+    assert peak - own_state_peak(sc, monkeypatch) < 3.5 * array + ring
+    assert peak < 7.34e6
 
 
-def test_run_chunk_memory_does_not_grow_with_the_node_count():
+def test_run_chunk_memory_does_not_grow_with_the_node_count(monkeypatch):
     # 300 clocks over 5 000 slots: each chunk array is 300 x 1 025 values,
-    # at the 1 024-slot floor, not 300 x 4 097.  A short run first makes
-    # the imports of a process's first run, outside the trace.
+    # at the 1 024-slot floor, not 300 x 4 097; or 300 x 513 at the
+    # 512-slot floor of a forked batch, whose ring slots are 300 x 512.
+    # The whole peak stays below the 8.61 MB of three and a half 300 x 1 025
+    # arrays that bounded it before the ring.  A short run first makes the
+    # imports of a process's first run, outside the trace.
     sc = line(300, 0.05)
-    assert _chunk_width(300) == 1024
+    width, forked, array, ring = engine_chunks(300, 5_000)
+    assert width == (512 if forked else 1024)
     run_scenario(replace(sc, horizon=1e-3))
-    assert traced_peak(lambda: run_scenario(sc)) < 3.5 * chunk_array_bytes(300)
+    peak = traced_peak(lambda: run_scenario(sc))
+    assert peak - own_state_peak(sc, monkeypatch) < 3.5 * array + ring
+    assert peak < 8.61e6
+
+
+def run_outputs(sc, tmp_path, name):
+    """Trace and metrics CSV bytes and the counters of one run."""
+    rep, trace = run_scenario(sc)
+    write_trace_csv(trace, tmp_path / name)
+    return ((tmp_path / name).read_bytes(), metrics_csv_bytes(rep, tmp_path, name + ".m"),
+            rep.collisions, rep.out_of_order, rep.discarded)
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS)
+def test_forked_clocks_give_the_in_process_run(tmp_path, monkeypatch, forks, proto):
+    two = replace(read_scenario(SCENARIOS / "two-node.scenario"), horizon=1.0, protocol=proto)
+    for sc in (line(300, 0.05, proto), two):
+        assert run_outputs(sc, tmp_path, "forked.csv") == in_process(
+            monkeypatch, lambda: run_outputs(sc, tmp_path, "here.csv"))
+    assert len(forks) == 2 and no_child_left()
 
 
 @pytest.mark.parametrize("proto", PROTOCOLS)
 def test_run_outputs_do_not_depend_on_the_chunk_width(tmp_path, monkeypatch, proto):
     sc = line(300, 0.05, proto)
-
-    def outputs(name):
-        rep, trace = run_scenario(sc)
-        write_trace_csv(trace, tmp_path / name)
-        return ((tmp_path / name).read_bytes(), metrics_csv_bytes(rep, tmp_path, name + ".m"),
-                rep.collisions, rep.out_of_order, rep.discarded)
-
-    narrow = outputs("narrow.csv")
-    monkeypatch.setattr(simulator, "_CHUNK_VALUES", 300 * _CHUNK_STEPS)  # 4 096-slot chunks
-    assert outputs("wide.csv") == narrow
+    narrow = run_outputs(sc, tmp_path, "narrow.csv")
+    monkeypatch.setattr(simulator, "_chunk_width", lambda *args: _CHUNK_STEPS)
+    assert run_outputs(sc, tmp_path, "wide.csv") == narrow
 
 
 def test_trace_rows_are_well_formed():
