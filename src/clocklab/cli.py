@@ -240,7 +240,10 @@ def _read_allan_curve(path) -> list[AllanPoint]:
 
 def _cmd_fit(args) -> int:
     points = _read_allan_curve(args.curve)
-    fitted = fit_params_from_allan(points, n_starts=args.starts, seed=args.seed)
+    try:  # it checks n_starts before it allocates anything
+        fitted = fit_params_from_allan(points, n_starts=args.starts, seed=args.seed)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace("n_starts", "--starts")) from None
     print("alpha,epsilon")
     print(f"{fitted.alpha:.17g},{fitted.epsilon:.17g}")
     return 0

@@ -12,13 +12,16 @@ AR(1) recursion of the log-skew state runs in the C kernel behind
 ``scipy.signal.lfilter``, loaded on its own (:func:`_load_ar1_kernel`)
 so that importing this module never imports ``scipy.signal``.  A large
 batch draws its normals in one forked child (:class:`_Drawer`), which
-holds nothing but the generators' copies and writes each chunk's
-normals into a ring of two slots in shared memory; the calling process
-holds the chunk buffers, scales the normals out of a slot into them and
-hands the slot back at once, then runs the recursion, the skews and the
-displays, and the caller's own work, while the child draws the next
-chunk into the other slot.  The values are the same as in-process,
-bit for bit, and so are the generators once the last chunk is out.  The
+holds the generators' copies, writes each chunk's normals into a ring
+of two slots in shared memory, and runs the recursion of the chunk's
+first rows there, as many as it has time for; the calling process holds
+the chunk buffers, copies the child's rows out of a slot, runs the
+recursion of the other rows and hands the slot back with their last
+states, then computes the skews and the displays and does the caller's
+own work, while the child fills the next chunk into the other slot.
+The split moves a step of rows at a time, to whichever side waits less.
+The values are the same as in-process, bit for bit, and so are the
+generators once the last chunk is out.  The
 module also evaluates the closed-form moments and variance bounds of
 all three processes, computes the Allan variance of the skew (from its
 exact series over the expanded correlation kernel, and from display
@@ -40,8 +43,10 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,16 +362,48 @@ def _chunk_sizes(n_steps: int, chunk_steps: int):
 
 
 # A batch of two or more chunks that draws at least _FORK_NORMALS normals
-# draws them in one forked child (_Drawer).  Forking a 30-50 MB process
-# takes 1-2 ms, and the parent's first write to each page afterwards takes
-# a fault, up to as much again; 2^20 normals take 16-17 ms to draw, so the
-# child saves at least four times what it costs.  A batch of one chunk
-# never forks: the parent could only wait while the child draws it.  With
-# two ring slots the child draws one chunk while the parent works through
-# the last; a third slot made 300-clock runs no faster, and costs a chunk
-# of memory.
+# forks one child (_Drawer) that draws them all and runs the recursion of
+# as many rows of each chunk as it has time for.  Forking a 30-50 MB
+# process takes 1-2 ms, and the parent's first write to each page
+# afterwards takes a fault, up to as much again; 2^20 normals take 16-17
+# ms to draw and their recursion 5-6 ms more, so the child saves at least
+# four times what it costs.  A batch of one chunk never forks: the parent
+# could only wait while the child draws it.  With two ring slots the
+# child fills one chunk while the parent works through the last; a third
+# slot made 300-clock runs no faster, and costs a chunk of memory.
 _FORK_NORMALS = 2**20
 _RING_SLOTS = 2
+# Values per call of the AR(1) kernel in _ar1, which a forked batch's
+# two processes run over their shares of a chunk's rows.  Each call
+# returns a fresh array, which _ar1 copies out: a block of rows at a time
+# keeps it at 128 KiB, while the call's own cost, about 1 us, stays near
+# 1 % of the block's 85 us.
+_AR1_BLOCK = 2**14
+
+
+def _ar1(den, u, out):
+    """The AR(1) recursion ``x_j = decay x_{j-1} + u[r, j]`` of each row r
+    of ``u`` from ``x_0 = u[r, 0]`` (``den = [1, -decay]``), run by the
+    kernel of :func:`_load_ar1_kernel` on blocks of about ``_AR1_BLOCK``
+    values (one row at least); a row's arithmetic is the same in any
+    block.  Written into ``out``, which may be ``u``."""
+    ar1, num, rows = _load_ar1_kernel(), np.array([1.0]), max(1, _AR1_BLOCK // u.shape[1])
+    for r in range(0, len(u), rows):
+        out[r:r + rows] = ar1(num, den, u[r:r + rows], 1)
+
+
+def _next_split(s: int, parent_waited: bool, child_idle: float, row_cost: float, m: int) -> int:
+    """How many rows of its next chunk a drawer runs the recursion of,
+    after ``s`` of the ``m`` in its last: one step of ``max(1, m // 8)``
+    rows fewer if the parent waited for a chunk since, else one step more
+    if the child sat idle on a free slot for longer than the step's rows
+    take it at ``row_cost`` seconds a row, else ``s``; within 0..m."""
+    step = max(1, m // 8)
+    if parent_waited:
+        return max(0, s - step)
+    if child_idle > step * row_cost:
+        return min(m, s + step)
+    return s
 
 
 def _can_fork() -> bool:
@@ -411,26 +448,47 @@ def _message(kind: bytes, obj) -> bytes:
 
 class _Drawer:
     """One forked child that draws a batch's normals, chunk after chunk,
-    into a ring of ``_RING_SLOTS`` chunk slots in an anonymous shared
-    ``mmap``.
+    into a ring of ``_RING_SLOTS`` slots in an anonymous shared ``mmap``,
+    and runs the recursion of the first rows of each chunk there.
 
-    The child writes one byte down a pipe per filled slot and the parent
-    one byte up another per slot it has read (:meth:`take`,
-    :meth:`release`).  After the last chunk the child sends each distinct
-    generator's ``bit_generator.state``, which the parent adopts, so the
-    generators end where drawing in-process leaves them; an exception in
-    the child is sent instead and raised in the parent.  Each side holds
-    the only write end of the pipe the other reads, so a side that dies
-    closes it: the parent then raises, the child exits, neither hangs.
-    The child pins itself to the allowed CPUs other than the one the
-    parent runs on at the fork; the parent's own affinity is left alone.
+    A chunk of ``k`` steps fills an ``(m, k + 1)`` slot: row r holds the
+    state carried into the chunk in column 0 and the ``k`` normals drawn
+    for it after.  The child scales the normals of the chunk's first
+    ``s`` rows (its *split*) and overwrites those rows with their states;
+    the other rows keep their normals for the parent.  The child writes
+    the split into a header beside the ring, and one byte down a pipe,
+    per filled slot (:meth:`take`).  The parent runs the recursion of
+    the other rows, writes their last states into a carry vector beside
+    the ring, and sends one byte up another pipe (:meth:`release`): it
+    frees the slot, hands over the carry, and says whether the parent
+    waited for the chunk.  The child sets each split by
+    :func:`_next_split` from the waiting done on both sides: a step of
+    rows goes back to the parent after it waited, and comes to the child
+    when the child sat idle on a free slot for longer than the rows
+    would take it; rows it takes over start from the carry of the
+    parent's release.  A row's recursion is the same kernel call from
+    the same carried state on either side, so no split changes a value.
+
+    After the last chunk the child sends each distinct generator's
+    ``bit_generator.state``, which the parent adopts, so the generators
+    end where drawing in-process leaves them; an exception in the child
+    is sent instead and raised in the parent.  Each side holds the only
+    write end of the pipe the other reads, so a side that dies closes
+    it: the parent then raises, the child exits, neither hangs.  The
+    child pins itself to the allowed CPUs other than the one the parent
+    runs on at the fork; the parent's own affinity is left alone.
     """
 
-    def __init__(self, rngs, noisy, m: int, n_steps: int, chunk_steps: int):
-        # forked batches have two chunks or more: each slot is one full chunk
-        self.ring = np.frombuffer(mmap.mmap(-1, 8 * _RING_SLOTS * m * chunk_steps),
-                                  dtype=np.float64).reshape(_RING_SLOTS, m * chunk_steps)
-        self.m, self.taken = m, 0
+    def __init__(self, rngs, noisy, noise_std, den, n_steps: int, chunk_steps: int):
+        # forked batches have two chunks or more: each slot holds one full chunk
+        m = len(noisy)
+        slot = m * (chunk_steps + 1)
+        shared = mmap.mmap(-1, 8 * (_RING_SLOTS * slot + m + _RING_SLOTS))
+        self.ring = np.frombuffer(shared, np.float64, _RING_SLOTS * slot).reshape(_RING_SLOTS, slot)
+        self.carry = np.frombuffer(shared, np.float64, m, 8 * _RING_SLOTS * slot)
+        self.split = np.frombuffer(shared, np.int64, _RING_SLOTS, 8 * (_RING_SLOTS * slot + m))
+        self.m, self.taken, self.waited = m, 0, False
+        self.carry[:] = 0.0  # the carried state of every row into chunk 0
         self.gens = list({id(g): g for g in rngs}.values())  # a generator may repeat
         cpu = _current_cpu()
         ready_r, ready_w = os.pipe()
@@ -446,23 +504,63 @@ class _Drawer:
             try:
                 os.close(ready_r)
                 os.close(free_w)
-                self._draw(rngs, noisy, n_steps, chunk_steps, cpu, ready_w, free_r)
+                self._draw(rngs, noisy, noise_std, den, n_steps, chunk_steps, cpu,
+                           ready_w, free_r)
                 code = 0
             finally:
                 os._exit(code)
         os.close(ready_w)
         os.close(free_r)
         self.pid, self.ready, self.free = pid, ready_r, free_w
+        self.filled = select.poll()
+        self.filled.register(ready_r, select.POLLIN)
 
-    def _draw(self, rngs, noisy, n_steps, chunk_steps, cpu, ready, free) -> None:
+    def _draw(self, rngs, noisy, noise_std, den, n_steps, chunk_steps, cpu, ready, free) -> None:
         others = os.sched_getaffinity(0) - {cpu}
         if others:
             os.sched_setaffinity(0, others)
+        m, clock = self.m, time.perf_counter
+        x = np.zeros(m)  # the states carried into the chunk, of rows 0..s-1
+        s, released, waited, row_cost = 0, 0, False, None
+        sent = select.poll()
+        sent.register(free, select.POLLIN)
+
+        def freed(count: int) -> None:  # read the parent's releases up to ``count``
+            nonlocal released, waited
+            while released < count:
+                waited |= _read(free, 1) == b"w"
+                released += 1
+
+        def run(slot, lo: int, hi: int) -> float:  # rows lo..hi-1; the seconds taken
+            start = clock()
+            rows = slot[lo:hi]
+            rows[:, 0] = x[lo:hi]
+            rows[:, 1:] *= noise_std[lo:hi]
+            _ar1(den, rows, rows)
+            x[lo:hi] = rows[:, -1]
+            return clock() - start
+
         try:
             for i, k in enumerate(_chunk_sizes(n_steps, chunk_steps)):
-                if i >= _RING_SLOTS:
-                    _read(free, 1)  # the parent has read slot i % _RING_SLOTS
-                _draw_normals(rngs, noisy, self._slot(i, k))
+                blocked = clock()
+                freed(i - _RING_SLOTS + 1)  # the slot of chunk i - _RING_SLOTS is free
+                drawn = clock()
+                slot = self._slot(i, k)
+                _draw_normals(rngs, noisy, slot[:, 1:])
+                if row_cost is None:  # no recursion timed yet: half the draw
+                    row_cost = (clock() - drawn) / m / 2
+                if released < i and sent.poll(0):  # the last chunk's release is in: its wait too
+                    freed(i)
+                new = _next_split(s, waited, drawn - blocked, row_cost, m)
+                waited = False
+                if new:
+                    ran = run(slot, 0, min(s, new))
+                    if new > s:  # rows the parent ran last chunk: their carry comes with its release
+                        freed(i)
+                        x[s:new] = self.carry[s:new]
+                        ran += run(slot, s, new)
+                    row_cost = ran / new
+                self.split[i % _RING_SLOTS] = s = new
                 _write(ready, b"r")
             msg = _message(b"s", [g.bit_generator.state for g in self.gens])
         except (EOFError, BrokenPipeError):  # the parent is gone
@@ -475,7 +573,7 @@ class _Drawer:
         _write(ready, msg)
 
     def _slot(self, i: int, k: int) -> np.ndarray:
-        return self.ring[i % _RING_SLOTS, :self.m * k].reshape(self.m, k)
+        return self.ring[i % _RING_SLOTS, :self.m * (k + 1)].reshape(self.m, k + 1)
 
     def _receive(self, size: int) -> bytes:
         try:
@@ -497,22 +595,27 @@ class _Drawer:
             raise obj
         return obj
 
-    def take(self, k: int, last: bool) -> np.ndarray:
-        """The next chunk's ``(m, k)`` normals, drawn in the child; the slot
-        is the child's again after :meth:`release`."""
+    def take(self, k: int, last: bool) -> tuple[int, np.ndarray]:
+        """The next chunk's split ``s`` and its ``(m, k + 1)`` slot: rows
+        0..s-1 hold their states, the others their normals in columns
+        1..k.  The slot is the child's again after :meth:`release`."""
+        self.waited = not self.filled.poll(0)
         self._expect(b"r")
-        slot, self.taken = self._slot(self.taken, k), self.taken + 1
-        if last:  # the child has drawn its last chunk: adopt the states, reap it
+        i, self.taken = self.taken, self.taken + 1
+        if last:  # the child has filled its last slot: adopt the states, reap it
             for g, state in zip(self.gens, self._expect(b"s")):
                 g.bit_generator.state = state
             os.waitpid(self.pid, 0)
             self.pid = 0
-        return slot
+        return int(self.split[i % _RING_SLOTS]), self._slot(i, k)
 
-    def release(self) -> None:
-        if self.pid:  # a child that has drawn its last chunk may be gone: no matter
+    def release(self, s: int, carry) -> None:
+        """Hand the last slot back, with ``carry``, the last states of its
+        rows s..m-1."""
+        if self.pid:  # a child that has filled its last slot may be gone: no matter
+            self.carry[s:] = carry
             with contextlib.suppress(BrokenPipeError):
-                _write(self.free, b"f")
+                _write(self.free, b"w" if self.waited else b"f")
 
     def close(self) -> None:
         """Kill and reap the child if it is still there; close the pipes."""
@@ -554,31 +657,36 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
     A batch of two chunks or more that draws at least ``_FORK_NORMALS``
     normals, on a platform with ``os.fork`` and more than one allowed
     CPU and outside a ``multiprocessing`` worker, draws them in one
-    forked child (:class:`_Drawer`) while this process does the rest of
-    the arithmetic and whatever the caller does with each chunk; every
-    value is the same either way.  The child is reaped once the last
-    chunk is taken, and killed and reaped if the generator is closed
-    early or raises.  Nothing else may use ``rngs`` until the batch is
-    exhausted or closed: a forked batch moves them only when its last
-    chunk is taken (then to where drawing in-process leaves them), so
-    one closed earlier leaves them unmoved, while an in-process batch
-    leaves them after the last chunk it drew.
+    forked child (:class:`_Drawer`), which also runs the recursion of
+    the first rows of each chunk, as many as it has time for, while this
+    process runs the rest of the arithmetic and whatever the caller does
+    with each chunk; every value is the same either way.  The child is
+    reaped once the last chunk is taken, and killed and reaped if the
+    generator is closed early or raises.  Nothing else may use ``rngs``
+    until the batch is exhausted or closed: a forked batch moves them
+    only when its last chunk is taken (then to where drawing in-process
+    leaves them), so one closed earlier leaves them unmoved, while an
+    in-process batch leaves them after the last chunk it drew.
 
     Memory: a caller that drops each chunk before asking for the next
     keeps at most three chunk arrays alive in this process.  The
     normals, skews and displays of every chunk are views of two buffers
-    of the widest chunk, allocated once (the normals are scaled into
-    one of them, and the displays summed in place over them once
-    spent); only the states are fresh, and the generator drops them
-    before it makes the next chunk.  So asking for the next chunk
-    overwrites the skews and displays of the last: copy what must
-    outlive it.  A forked batch adds its ring: ``_RING_SLOTS`` slots of
-    one chunk's normals, shared with the child.  The child fills a slot,
-    this process scales the normals out of it into its own buffer and
-    hands the slot back at once, so the child may draw up to
-    ``_RING_SLOTS`` chunks ahead.  Reusing the buffers also keeps the
-    allocator from handing memory back each chunk only to fault it in
-    again.
+    of the widest chunk, allocated once (the normals are scaled into one
+    of them, and the displays summed in place over them once spent).
+    Drawn in-process, the states are the fresh output of one kernel
+    call, which the generator drops before it makes the next chunk; a
+    forked batch writes them into a third buffer, through a block of
+    about ``_AR1_BLOCK`` values at a time.  So asking for the next chunk
+    overwrites the skews and displays of the last, and in a forked
+    batch its states too: copy what must outlive it.  A forked batch
+    adds its shared ``mmap``: ``_RING_SLOTS`` slots of ``m (chunk_steps
+    + 1)`` values, a carry vector of ``m`` and a header of one split per
+    slot.  The child fills a slot; this process copies the states of the
+    child's rows out of it into its own buffer, scales the other rows'
+    normals into another, runs their recursion and hands the slot back,
+    so the child may fill up to ``_RING_SLOTS`` chunks ahead.  Reusing
+    the buffers also keeps the allocator from handing memory back each
+    chunk only to fault it in again.
     """
     if chunk_steps < 1:
         raise ValueError(f"chunk_steps must be at least 1, got {chunk_steps!r}")
@@ -607,27 +715,36 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
         if kinds[r].epsilon > 0:
             runs.append((r, start, stop))
     m = len(params)
-    # every chunk's skews and displays are contiguous views of these two
+    # every chunk's skews and displays are contiguous views of these
     size = m * (min(chunk_steps, n_steps) + 1)
     u_buf, skew_buf = np.empty(size), np.empty(size)
     x, a, tau = np.zeros(m), np.ones(m), np.zeros(m)   # grid point 0
     drawer = None
     if _forks(sum(noisy), n_steps, chunk_steps):
+        state_buf = np.empty(size)  # a forked batch's states, from both processes' rows
         with contextlib.suppress(OSError):  # no process or memory to spare: draw here
-            drawer = _Drawer(rngs, noisy, m, n_steps, chunk_steps)
+            drawer = _Drawer(rngs, noisy, noise_std, den, n_steps, chunk_steps)
     try:
         done, lead = 0, 0
         for k in _chunk_sizes(n_steps, chunk_steps):
             # column 0 is grid point ``done``, the last one generated
             u = u_buf[:m * (k + 1)].reshape(m, k + 1)
-            u[:, 0] = x
             if drawer is None:
+                u[:, 0] = x
                 _draw_normals(rngs, noisy, u[:, 1:])
                 u[:, 1:] *= noise_std
-            else:
-                np.multiply(drawer.take(k, done + k >= n_steps), noise_std, out=u[:, 1:])
-                drawer.release()
-            states = ar1(num, den, u, 1)  # x_j = decay x_{j-1} + u_j
+                # One kernel call, its output kept: running it in blocks
+                # into a buffer, as a forked batch must, made in-process
+                # line300 runs 2.6-3.4 % slower (10 alternating pairs).
+                states = ar1(num, den, u, 1)  # x_j = decay x_{j-1} + u_j
+            else:  # the child ran rows 0..s-1
+                s, slot = drawer.take(k, done + k >= n_steps)
+                np.multiply(slot[s:, 1:], noise_std[s:], out=u[s:, 1:])
+                u[s:, 0] = x[s:]
+                states = state_buf[:m * (k + 1)].reshape(m, k + 1)
+                states[:s] = slot[:s]
+                _ar1(den, u[s:], states[s:])
+                drawer.release(s, states[s:, -1])
             skews = np.exp(states, out=skew_buf[:m * (k + 1)].reshape(m, k + 1))
             skews[:, 0] = a
             if (done + 1) * dt >= settle:  # the chunk's first time: all of it settled
@@ -644,7 +761,7 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
             u[:, 0] = tau  # u now holds the displays
             x, a, tau = states[:, -1].copy(), skews[:, -1].copy(), u[:, -1].copy()
             yield states[:, lead:], skews[:, lead:], u[:, lead:]
-            del states  # the one fresh array goes before the next chunk's
+            del states  # an in-process chunk's fresh states go before the next's
             done, lead = done + k, 1
     finally:
         if drawer is not None:
@@ -800,6 +917,11 @@ def display_variance_bounds(t, p: ClockParams):
 # used for x < 0.1, where the closed form cancels
 _ALLAN_TAYLOR = np.array([(-1) ** n * (4 - 2**n) / math.factorial(n) for n in range(3, 13)])
 _FIT_GRID = 24  # points per axis of the log grid that seeds the Allan fit
+# Most random starts of one Allan fit.  A start's descent takes about 80
+# curve evaluations (some 20 ms on one x86 core) and keeps each in the
+# fit's cache (about 13 KB a start), so 2^20 starts already run for hours
+# and hold some 13 GB; the starts are drawn up front, 16 bytes each.
+_MAX_FIT_STARTS = 2**20
 
 
 def _allan_series(ts: np.ndarray, p: ClockParams) -> np.ndarray:
@@ -872,10 +994,10 @@ def fit_params_from_allan(points, n_starts: int = 8, seed: int = 0) -> ClockPara
     coordinate descent over ``(log alpha, log epsilon)``.  Start 0 is the
     best point of a fixed 24 x 24 log grid (``_FIT_GRID``) over alpha in
     [1e-1, 1e3] and epsilon in [1e-6, 1e1], so every fit is deterministic;
-    ``n_starts >= 0`` random starts from ``seed``, log-uniform over the
-    same box, follow.  Returns the best candidate and logs its
-    residual; raises ValueError ("fit failed") if none has a finite
-    objective.
+    ``n_starts`` random starts from ``seed`` (0 to ``_MAX_FIT_STARTS``),
+    log-uniform over the same box, follow.  Returns the best candidate
+    and logs its residual; raises ValueError ("fit failed") if none has
+    a finite objective.
 
     Not identifiable when alpha T << 1 at every interval: the curve then
     sees only the kernel's short-lag behaviour, and (0.5, 2) over
@@ -883,6 +1005,8 @@ def fit_params_from_allan(points, n_starts: int = 8, seed: int = 0) -> ClockPara
     """
     if n_starts < 0:
         raise ValueError(f"n_starts must be nonnegative, got {n_starts!r}")
+    if n_starts > _MAX_FIT_STARTS:
+        raise ValueError(f"n_starts must be at most {_MAX_FIT_STARTS}, got {n_starts!r}")
     pts = list(points)
     if len(pts) < 2:
         raise ValueError("need at least two Allan points")

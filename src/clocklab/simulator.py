@@ -741,14 +741,15 @@ class ProtocolMachine:
 # never fewer than 1 024 (reached at 256 clocks), below which the
 # per-chunk cost shows in the run time.  A batch whose normals a forked
 # child draws (see clock_chunks) takes half that, floor included: the
-# child's ring holds two more chunks of normals, and the per-row draw
-# loop, whose cost grows with the chunk count, runs in the child.  Drawn
+# child's ring holds two more chunk arrays, and the per-row draw loop,
+# whose cost grows with the chunk count, runs in the child, as does the
+# recursion of a share of the rows that it sets chunk by chunk.  Drawn
 # in this process, 300 clocks at the half width ran line300's Hybrid and
 # MBCSP 5-8 % slower (0 of 12 alternating rounds faster, one CPU).  So
 # 10 clocks take 4 096 slots, 100 clocks 2 621 (1 310 forked), and 300
 # or 1 001 clocks 1 024 (512 forked): a 300-clock chunk array is
 # 300 x 1 025 values, 2.46 MB, or forked 300 x 513, 1.23 MB, beside a
-# ring of 2 x 300 x 512.  The loop keeps no chunk's states, so at most
+# ring of 2 x 300 x 513.  The loop keeps no chunk's states, so at most
 # three chunk arrays are alive in this process at any time.  No value
 # depends on the width (see clock_chunks).
 _CHUNK_STEPS = 4096

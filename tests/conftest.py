@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -110,6 +111,28 @@ def in_process(monkeypatch, fn):
     with monkeypatch.context() as patch:
         patch.setattr(clocks, "_FORK_NORMALS", math.inf)
         return fn()
+
+
+# Splits forced on every chunk of a forked clock batch, as functions of
+# the chunk's index i and the batch's row count m: rows that move to the
+# child start from the carry of the parent's release, rows that move back
+# to the parent from the states the child left in the slot.
+SPLIT_SCHEDULES = {
+    "none-then-all": lambda i, m, rng: 0 if i == 0 else m,
+    "all-then-none": lambda i, m, rng: m if i == 0 else 0,
+    "alternating": lambda i, m, rng: m * (i % 2),
+    "random": lambda i, m, rng: int(rng.integers(m + 1)),
+}
+
+
+def force_splits(patch, schedule: str) -> None:
+    """Make each forked clock drawer split its chunks by
+    ``SPLIT_SCHEDULES[schedule]`` in place of the policy; ``patch`` is a
+    ``monkeypatch`` or one of its contexts.  A child inherits the
+    counter and generator at the fork, which this process never moves,
+    so every drawer follows the same splits."""
+    split, index, rng = SPLIT_SCHEDULES[schedule], itertools.count(), np.random.default_rng(7)
+    patch.setattr(clocks, "_next_split", lambda s, waited, idle, cost, m: split(next(index), m, rng))
 
 
 def no_child_left() -> bool:

@@ -589,6 +589,20 @@ def test_fit_rejects_malformed_curve(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_fit_rejects_a_start_count_out_of_range_before_allocating(tmp_path, capsys):
+    curve = tmp_path / "curve.csv"
+    write_curve(curve, ClockParams(10.0, 1.0), np.geomspace(0.02, 2.0, 6))
+    for bad, msg in ((-1, "nonnegative"), (2**20 + 1, "at most 1048576")):
+        assert main(["fit", str(curve), "--starts", str(bad)]) == 2
+        assert f"--starts must be {msg}, got {bad}" in capsys.readouterr().err
+    # 10^12 starts, in little memory: an array of 10^12 random starts
+    # (7.28 TiB) fails there on MemoryError (exit 1) unless the count is
+    # checked first.
+    proc = cli_in_little_memory("fit", str(curve), "--starts", str(10**12))
+    assert proc.returncode == 2, proc.stderr.decode(errors="replace")
+    assert b"--starts must be at most 1048576" in proc.stderr and proc.stdout == b""
+
+
 # -------------------------------------------------------------------- replay
 
 
@@ -672,6 +686,17 @@ def test_smooth_nonconvergence_exits_one(tmp_path, capsys):
     assert (tmp_path / "nodal.csv").exists()  # partial result still written
 
 
+def cli_in_little_memory(*args):
+    """``clocklab *args`` run in a child process under a 2 GiB
+    address-space limit; the completed process."""
+    src = str(Path(clocklab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "clocklab.cli", *args], capture_output=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)))
+
+
 def test_smooth_isolated_node_exits_two_before_allocating(tmp_path, capsys):
     rel = tmp_path / "rel.csv"
     rel.write_text("i,j,value\n0,1,1.0\n1,2,0.5\n0,2,1.5\n")
@@ -680,13 +705,7 @@ def test_smooth_isolated_node_exits_two_before_allocating(tmp_path, capsys):
     assert "isolated node 3" in captured.err and captured.out == ""
     # 10^12 nodes, in a child under a 2 GiB address-space limit: an array
     # of one value per node fails there on MemoryError (exit 1).
-    src = str(Path(clocklab.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "clocklab.cli", "smooth", str(rel), "--nodes", str(10**12)],
-        capture_output=True, env=env, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)))
+    proc = cli_in_little_memory("smooth", str(rel), "--nodes", str(10**12))
     assert proc.returncode == 2, proc.stderr.decode(errors="replace")
     assert b"isolated node 3" in proc.stderr and proc.stdout == b""
 

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import (
+    SPLIT_SCHEDULES,
     batch_paths,
+    force_splits,
     in_process,
     no_child_left,
     save_trajectory,
@@ -306,20 +308,47 @@ def test_forked_sample_displays_are_the_in_process_ones(monkeypatch, forks, chun
 
 def test_forked_draws_leave_each_generator_where_in_process_draws_do(monkeypatch, forks):
     # One generator shared by every row, as batch_paths passes it, and a
-    # generator per row beside a noiseless row; chunks fill and drain
-    # the ring many times over.
+    # generator per row beside a noiseless row; chunks of a hundred steps
+    # fill and drain the ring many times over, and chunks of one step
+    # (the first of none) make a round trip each.  The recursion is split
+    # between the processes by the policy and by each forced schedule.
     params = [ClockParams(10.0, e) for e in (1.0, 0.0, 0.5, 1.0)]
 
-    def drawn(shared):
+    def drawn(shared, chunk_steps):
         rngs = ([np.random.default_rng(5)] * 4 if shared
                 else [np.random.default_rng(s) for s in range(4)])
-        arrays = [a.tobytes() for chunk in clock_chunks(params, 1e-3, 3000, rngs, 100)
+        arrays = [a.tobytes() for chunk in clock_chunks(params, 1e-3, 3000, rngs, chunk_steps)
                   for a in chunk]  # copied before the next chunk overwrites them
         return arrays, [g.random() for g in rngs]
 
-    for shared in (True, False):
-        assert drawn(shared) == in_process(monkeypatch, lambda: drawn(shared))
-    assert len(forks) == 2 and no_child_left()
+    batches = [(True, 100), (False, 100), (True, 1)]
+    for shared, chunk_steps in batches:
+        want = in_process(monkeypatch, lambda: drawn(shared, chunk_steps))
+        for schedule in (None, *SPLIT_SCHEDULES):
+            with monkeypatch.context() as patch:
+                if schedule:
+                    force_splits(patch, schedule)
+                assert drawn(shared, chunk_steps) == want, (shared, chunk_steps, schedule)
+    assert len(forks) == len(batches) * (1 + len(SPLIT_SCHEDULES)) and no_child_left()
+
+
+@pytest.mark.parametrize("s, waited, idle, m, want", [
+    (0, False, 0.0, 16, 0),     # no idle time: no change
+    (8, False, 2e-3, 16, 8),    # idle exactly as long as a step's 2 rows take: no change
+    (8, False, 2.1e-3, 16, 10),  # longer: one step up
+    (8, True, 2.1e-3, 16, 6),   # the parent waited: one step down, whatever the idle time
+    (15, False, 1.0, 16, 16),   # up to m, no further
+    (16, False, 1.0, 16, 16),
+    (1, True, 0.0, 16, 0),      # down to 0, no further
+    (0, True, 0.0, 16, 0),
+    (0, False, 1.0, 1, 1),      # one row: steps of one
+    (1, True, 0.0, 1, 0),
+    (0, False, 1.0, 7, 1),
+    (0, False, 1.0, 301, 37),   # 301 rows: steps of 37
+    (301, True, 0.0, 301, 264),
+])
+def test_split_policy_steps_and_clamps(s, waited, idle, m, want):
+    assert clocks._next_split(s, waited, idle, 1e-3, m) == want
 
 
 def test_a_batch_of_one_chunk_does_not_fork(forks):
@@ -360,6 +389,27 @@ def test_killed_clock_drawer_makes_the_parent_raise(forks):
         for _ in chunks:
             pass
     assert no_child_left()
+
+
+def test_clock_drawer_killed_while_it_waits_for_a_carry_makes_the_parent_raise(
+        monkeypatch, forks):
+    # Splits none, then all: the child draws chunk 1, then waits for the
+    # parent's release of chunk 0, whose carry its rows start from.  The
+    # parent kills it there, just before that release.
+    force_splits(monkeypatch, "none-then-all")
+    release = clocks._Drawer.release
+
+    def kill_first(drawer, s, carry):
+        if drawer.taken == 1:
+            assert not drawer.filled.poll(100)  # no chunk 1 in 0.1 s: it waits
+            os.kill(drawer.pid, signal.SIGKILL)
+        release(drawer, s, carry)
+
+    monkeypatch.setattr(clocks._Drawer, "release", kill_first)
+    with pytest.raises(RuntimeError, match="clock drawer ended with exit code -9"):
+        for _ in clock_chunks([P10_1] * 2, 1e-3, 10_000, [np.random.default_rng(0)] * 2, 100):
+            pass
+    assert len(forks) == 1 and no_child_left()
 
 
 def test_no_clock_drawer_outlives_its_batch(forks):
@@ -721,6 +771,8 @@ def test_fit_validates_starts():
     pts = _curve(P10_1, (0.01, 0.1))
     with pytest.raises(ValueError, match="n_starts must be nonnegative"):
         fit_params_from_allan(pts, n_starts=-1)
+    with pytest.raises(ValueError, match="n_starts must be at most 1048576, got 1048577"):
+        fit_params_from_allan(pts, n_starts=2**20 + 1)
 
 
 @pytest.mark.parametrize("alpha, epsilon, seeds", [

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import clocklab.simulator as simulator
 import clocklab.clocks as clocks_module
-from conftest import in_process, no_child_left, traced_peak
+from conftest import SPLIT_SCHEDULES, force_splits, in_process, no_child_left, traced_peak
 from clocklab.clocks import _MAX_STATE_VARIANCE, simulate_clock
 from clocklab.measurement import DELAY_KINDS, DelayModel, offset_delay_estimate
 from clocklab.clocks import RelParams
@@ -786,10 +786,13 @@ def engine_chunks(clocks, n_slots):
     """Slots per engine chunk of a run of ``clocks`` clocks (one of them the
     noiseless reference) over ``n_slots`` slots, whether a forked child
     draws its normals, and the bytes of one chunk array and of the
-    child's ring (0 if the run draws them in-process)."""
+    child's shared ring: its slots of one chunk array each, a carry of one
+    value per clock and one split per slot (0 if the run draws them
+    in-process)."""
     width = _chunk_width(clocks, clocks - 1, n_slots)
     forked = clocks_module._forks(clocks - 1, n_slots, width)
-    ring = clocks_module._RING_SLOTS * clocks * width * 8 if forked else 0
+    slots = clocks_module._RING_SLOTS
+    ring = 8 * (slots * clocks * (width + 1) + clocks + slots) if forked else 0
     return width, forked, clocks * (width + 1) * 8, ring
 
 
@@ -822,7 +825,7 @@ def test_run_holds_at_most_three_chunk_arrays(monkeypatch):
 def test_run_chunk_memory_does_not_grow_with_the_node_count(monkeypatch):
     # 300 clocks over 5 000 slots: each chunk array is 300 x 1 025 values,
     # at the 1 024-slot floor, not 300 x 4 097; or 300 x 513 at the
-    # 512-slot floor of a forked batch, whose ring slots are 300 x 512.
+    # 512-slot floor of a forked batch, whose ring slots are 300 x 513.
     # The whole peak stays below the 8.61 MB of three and a half 300 x 1 025
     # arrays that bounded it before the ring.  A short run first makes the
     # imports of a process's first run, outside the trace.
@@ -845,11 +848,17 @@ def run_outputs(sc, tmp_path, name):
 
 @pytest.mark.parametrize("proto", PROTOCOLS)
 def test_forked_clocks_give_the_in_process_run(tmp_path, monkeypatch, forks, proto):
+    # The recursion split between the processes by the policy, and by
+    # each forced schedule.
     two = replace(read_scenario(SCENARIOS / "two-node.scenario"), horizon=1.0, protocol=proto)
     for sc in (line(300, 0.05, proto), two):
-        assert run_outputs(sc, tmp_path, "forked.csv") == in_process(
-            monkeypatch, lambda: run_outputs(sc, tmp_path, "here.csv"))
-    assert len(forks) == 2 and no_child_left()
+        want = in_process(monkeypatch, lambda: run_outputs(sc, tmp_path, "here.csv"))
+        for schedule in (None, *SPLIT_SCHEDULES):
+            with monkeypatch.context() as patch:
+                if schedule:
+                    force_splits(patch, schedule)
+                assert run_outputs(sc, tmp_path, "forked.csv") == want, schedule
+    assert len(forks) == 2 * (1 + len(SPLIT_SCHEDULES)) and no_child_left()
 
 
 @pytest.mark.parametrize("proto", PROTOCOLS)
@@ -1044,12 +1053,13 @@ _RING = SyncGraph(n=4, edges=((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
 @st.composite
 def arbitrary_scenarios(draw):
     """A five-node ring whose grid, noise floor, delay, rates and gaps are
-    drawn at a scale where packets flow within a few dozen slots, with up
+    drawn at a scale where packets flow within a few dozen slots, with one
     to three of these fields, node 1's epsilon among the candidates,
-    drawn from anywhere instead."""
+    drawn from anywhere instead: every example draws an odd field, so
+    each field sees its extreme magnitudes."""
     odd = draw(st.sets(st.sampled_from(("epsilon_1", "dt", "horizon", "noise_floor", "mean",
                                         "spread", "bound", "skew_rate", "offset_rate",
-                                        "skew_gap", "roundtrip_gap")), max_size=3))
+                                        "skew_gap", "roundtrip_gap")), min_size=1, max_size=3))
 
     def pick(name, usual):
         return draw((_ODD_GAPS if name.endswith("gap") else _ODD_FLOATS)
