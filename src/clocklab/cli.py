@@ -45,6 +45,7 @@ from clocklab.network import (
 )
 from clocklab.simulator import (
     PROTOCOLS,
+    _text_lines,
     read_scenario,
     read_trace_csv,
     run_scenario,
@@ -218,23 +219,23 @@ def _cmd_allan(args) -> int:
 
 
 def _read_allan_curve(path) -> list[AllanPoint]:
-    with open(path) as fh:
-        header = [c.strip() for c in fh.readline().strip().split(",")]
-        if header == ["T", "sigma2"]:
-            col = 1
-        elif header == ["T", "analytic", "empirical"]:
-            col = 2
-        else:
-            raise ValueError(f"unexpected Allan curve header {header!r}")
-        points = []
-        for ln, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            try:
-                points.append(AllanPoint(T=float(parts[0]), sigma2=float(parts[col])))
-            except (IndexError, ValueError):
-                raise ValueError(f"line {ln}: malformed Allan row {line.strip()!r}") from None
+    lines = _text_lines(path)
+    header = [c.strip() for c in next(lines, (1, ""))[1].strip().split(",")]
+    if header == ["T", "sigma2"]:
+        col = 1
+    elif header == ["T", "analytic", "empirical"]:
+        col = 2
+    else:
+        raise ValueError(f"unexpected Allan curve header {header!r}")
+    points = []
+    for ln, line in lines:
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        try:
+            points.append(AllanPoint(T=float(parts[0]), sigma2=float(parts[col])))
+        except (IndexError, ValueError):
+            raise ValueError(f"line {ln}: malformed Allan row {line.strip()!r}") from None
     return points
 
 
@@ -269,17 +270,16 @@ def _cmd_replay(args) -> int:
 
 def _read_relative_csv(path) -> dict[tuple[int, int], float]:
     values: dict[tuple[int, int], float] = {}
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or (ln == 1 and line.replace(" ", "") == "i,j,value"):
-                continue
-            parts = line.split(",")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except (IndexError, ValueError):
-                raise ValueError(f"line {ln}: expected `i,j,value`, got {line!r}") from None
-            values[(i, j)] = v
+    for ln, line in _text_lines(path):
+        line = line.strip()
+        if not line or (ln == 1 and line.replace(" ", "") == "i,j,value"):
+            continue
+        parts = line.split(",")
+        try:
+            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+        except (IndexError, ValueError):
+            raise ValueError(f"line {ln}: expected `i,j,value`, got {line!r}") from None
+        values[(i, j)] = v
     if not values:
         raise ValueError("no relative estimates in input")
     return values

@@ -15,13 +15,14 @@ batch draws its normals in one forked child (:class:`_Drawer`), which
 holds the generators' copies, writes each chunk's normals into a ring
 of two slots in shared memory, and runs the recursion of the chunk's
 first rows there, as many as it has time for; the calling process holds
-the chunk buffers, copies the child's rows out of a slot, runs the
+two chunk buffers, copies the child's rows out of a slot, runs the
 recursion of the other rows and hands the slot back with their last
-states, then computes the skews and the displays and does the caller's
-own work, while the child fills the next chunk into the other slot.
-The split moves a step of rows at a time, to whichever side waits less.
-The values are the same as in-process, bit for bit, and so are the
-generators once the last chunk is out.  The
+states, then turns the states into skews, computes the displays and does
+the caller's own work, while the child fills the next chunk into the
+other slot.  The split moves a step of rows at a time, to whichever side
+waits less, and the batch narrows its chunks to fit the ring beside
+them.  The skews and displays are the same as in-process, bit for bit,
+and so are the generators once the last chunk is out.  The
 module also evaluates the closed-form moments and variance bounds of
 all three processes, computes the Allan variance of the skew (from its
 exact series over the expanded correlation kernel, and from display
@@ -205,7 +206,8 @@ class ClockTrajectory:
     dt : float
         Grid step in reference time.
     states : numpy.ndarray
-        Log-skew state X at grid points; ``states[0] == 0``.
+        Log-skew state X at grid points; ``states[0] == 0``.  Derived
+        from the skews as ``log(a / c(t))``: exact to rounding.
     skews : numpy.ndarray
         Instantaneous skew a at grid points; strictly positive.
     displays : numpy.ndarray
@@ -370,9 +372,15 @@ def _chunk_sizes(n_steps: int, chunk_steps: int):
 # four times what it costs.  A batch of one chunk never forks: the parent
 # could only wait while the child draws it.  With two ring slots the
 # child fills one chunk while the parent works through the last; a third
-# slot made 300-clock runs no faster, and costs a chunk of memory.
+# slot made 300-clock runs no faster, and costs a chunk of memory.  As
+# the ring holds two more chunk arrays, a forked batch narrows its chunks
+# to about _FORK_CHUNK_VALUES values (1 MiB), at least 512 steps: the
+# per-row draw loop, whose cost grows with the chunk count, runs in the
+# child, as does the recursion of a share of the rows.  Drawn in-process,
+# 300 clocks at that width ran line300's Hybrid and MBCSP 5-8 % slower.
 _FORK_NORMALS = 2**20
 _RING_SLOTS = 2
+_FORK_CHUNK_VALUES = 2**17
 # Values per call of the AR(1) kernel in _ar1, which a forked batch's
 # two processes run over their shares of a chunk's rows.  Each call
 # returns a fresh array, which _ar1 copies out: a block of rows at a time
@@ -418,12 +426,6 @@ def _can_fork() -> bool:
     return mp is None or mp.parent_process() is None
 
 
-def _forks(noisy: int, n_steps: int, chunk_steps: int) -> bool:
-    """Whether :func:`clock_chunks` draws the normals of a batch of
-    ``noisy`` noisy clocks over ``n_steps`` steps in a forked child."""
-    return n_steps >= chunk_steps and noisy * n_steps >= _FORK_NORMALS and _can_fork()
-
-
 def _read(fd: int, n: int) -> bytes:
     """``n`` bytes from pipe ``fd``; EOFError if its one writer closes it,
     or exits, before it has written them."""
@@ -451,10 +453,11 @@ class _Drawer:
     into a ring of ``_RING_SLOTS`` slots in an anonymous shared ``mmap``,
     and runs the recursion of the first rows of each chunk there.
 
-    A chunk of ``k`` steps fills an ``(m, k + 1)`` slot: row r holds the
-    state carried into the chunk in column 0 and the ``k`` normals drawn
-    for it after.  The child scales the normals of the chunk's first
-    ``s`` rows (its *split*) and overwrites those rows with their states;
+    A chunk of ``k`` steps (as narrowed by :func:`clock_chunks`) fills an
+    ``(m, k + 1)`` slot: row r holds the state carried into the chunk in
+    column 0 and the ``k`` normals drawn for it after.  The child scales
+    the normals of the chunk's first ``s`` rows (its *split*) and
+    overwrites those rows with their states, which the parent copies out;
     the other rows keep their normals for the parent.  The child writes
     the split into a header beside the ring, and one byte down a pipe,
     per filled slot (:meth:`take`).  The parent runs the recursion of
@@ -640,19 +643,20 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
     the exact transition driven by generator ``rngs[r]`` (a chunk of
     ``k`` new steps draws ``k`` normals per row, rows in order; a row
     whose transition noise is 0, such as the reference clock's, draws
-    nothing and keeps ``X = +0.0``, ``a = 1.0`` bit for bit), as an
+    nothing and keeps ``a = 1.0`` bit for bit), as an
     AR(1) recursion run by the C kernel of ``scipy.signal.lfilter``
     (loaded alone, see :func:`_load_ar1_kernel`); skews ``c(t) exp(X)``,
     a chunk that starts at or past the settle time taking each row's
     limit of c(t), and a noiseless kind (c(t) = 1) skipping the
     multiply before it; displays by the trapezoidal rule.  Yields
-    ``(states, skews, displays)``, each ``(m, width)``, with grid point
-    g in chunk ``g // chunk_steps`` at column ``g % chunk_steps``.  The
+    ``(skews, displays)``, each ``(m, width)``, with grid point g in
+    chunk ``g // w`` at column ``g % w``, ``w`` being the chunk width:
+    ``chunk_steps``, or less in a forked batch (below).  The states stay
+    inside: :func:`simulate_clock` derives them from the skews.  The
     state, skew and display reached are carried across chunks, and each
     row's arithmetic is the same at any width, so the chunk length
-    changes no value, bit for bit.  A chunk array takes
-    ``8 m (chunk_steps + 1)`` bytes: callers with many clocks pass a
-    narrower chunk to bound it.
+    changes no value, bit for bit.  A chunk array takes ``8 m (w + 1)``
+    bytes: callers with many clocks pass a narrower chunk to bound it.
 
     A batch of two chunks or more that draws at least ``_FORK_NORMALS``
     normals, on a platform with ``os.fork`` and more than one allowed
@@ -660,33 +664,35 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
     forked child (:class:`_Drawer`), which also runs the recursion of
     the first rows of each chunk, as many as it has time for, while this
     process runs the rest of the arithmetic and whatever the caller does
-    with each chunk; every value is the same either way.  The child is
-    reaped once the last chunk is taken, and killed and reaped if the
-    generator is closed early or raises.  Nothing else may use ``rngs``
+    with each chunk; every value is the same either way.  It narrows
+    its chunks to ``min(chunk_steps, max(512, 2**17 // m))`` steps, for
+    the ring's sake, once it has decided to fork at ``chunk_steps``.
+    The child is reaped once the last chunk is taken, and killed and
+    reaped if the generator is closed early or raises.  Nothing else may use ``rngs``
     until the batch is exhausted or closed: a forked batch moves them
     only when its last chunk is taken (then to where drawing in-process
     leaves them), so one closed earlier leaves them unmoved, while an
     in-process batch leaves them after the last chunk it drew.
 
-    Memory: a caller that drops each chunk before asking for the next
-    keeps at most three chunk arrays alive in this process.  The
-    normals, skews and displays of every chunk are views of two buffers
-    of the widest chunk, allocated once (the normals are scaled into one
-    of them, and the displays summed in place over them once spent).
-    Drawn in-process, the states are the fresh output of one kernel
-    call, which the generator drops before it makes the next chunk; a
-    forked batch writes them into a third buffer, through a block of
-    about ``_AR1_BLOCK`` values at a time.  So asking for the next chunk
-    overwrites the skews and displays of the last, and in a forked
-    batch its states too: copy what must outlive it.  A forked batch
-    adds its shared ``mmap``: ``_RING_SLOTS`` slots of ``m (chunk_steps
-    + 1)`` values, a carry vector of ``m`` and a header of one split per
-    slot.  The child fills a slot; this process copies the states of the
-    child's rows out of it into its own buffer, scales the other rows'
-    normals into another, runs their recursion and hands the slot back,
-    so the child may fill up to ``_RING_SLOTS`` chunks ahead.  Reusing
-    the buffers also keeps the allocator from handing memory back each
-    chunk only to fault it in again.
+    Memory: each chunk's states are built where its skews go, and
+    ``exp`` turns them into the skews in place.  The normals and
+    displays of every chunk are views of one buffer of the widest chunk,
+    allocated once (the normals are scaled into it, and the displays
+    summed in place over them once spent).  Drawn in-process, the states
+    are the fresh output of one kernel call, so at most three chunk
+    arrays are alive in this process: the buffer, and the skews of the
+    last chunk and the next.  A forked batch writes them into a second
+    buffer, through a block of about ``_AR1_BLOCK`` values at a time, and
+    holds two chunk arrays beside its shared ``mmap``: ``_RING_SLOTS``
+    slots of ``m (w + 1)`` values, a carry vector of ``m`` and a header
+    of one split per slot.  The child fills a slot; this process copies
+    the states of the child's rows out of it into its own buffer, scales
+    the other rows' normals into another, runs their recursion and hands
+    the slot back, so the child may fill up to ``_RING_SLOTS`` chunks
+    ahead.  So asking for the next chunk overwrites the displays of the
+    last, and in a forked batch its skews too: copy what must outlive
+    it.  Reusing the buffers also keeps the allocator from handing
+    memory back each chunk only to fault it in again.
     """
     if chunk_steps < 1:
         raise ValueError(f"chunk_steps must be at least 1, got {chunk_steps!r}")
@@ -715,15 +721,14 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
         if kinds[r].epsilon > 0:
             runs.append((r, start, stop))
     m = len(params)
-    # every chunk's skews and displays are contiguous views of these
-    size = m * (min(chunk_steps, n_steps) + 1)
-    u_buf, skew_buf = np.empty(size), np.empty(size)
-    x, a, tau = np.zeros(m), np.ones(m), np.zeros(m)   # grid point 0
     drawer = None
-    if _forks(sum(noisy), n_steps, chunk_steps):
-        state_buf = np.empty(size)  # a forked batch's states, from both processes' rows
+    if n_steps >= chunk_steps and sum(noisy) * n_steps >= _FORK_NORMALS and _can_fork():
+        chunk_steps = min(chunk_steps, max(512, _FORK_CHUNK_VALUES // m))
+        skew_buf = np.empty(m * (chunk_steps + 1))  # both processes' states, then skews
         with contextlib.suppress(OSError):  # no process or memory to spare: draw here
             drawer = _Drawer(rngs, noisy, noise_std, den, n_steps, chunk_steps)
+    u_buf = np.empty(m * (min(chunk_steps, n_steps) + 1))  # each chunk's normals, then displays
+    x, a, tau = np.zeros(m), np.ones(m), np.zeros(m)   # grid point 0
     try:
         done, lead = 0, 0
         for k in _chunk_sizes(n_steps, chunk_steps):
@@ -736,16 +741,17 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
                 # One kernel call, its output kept: running it in blocks
                 # into a buffer, as a forked batch must, made in-process
                 # line300 runs 2.6-3.4 % slower (10 alternating pairs).
-                states = ar1(num, den, u, 1)  # x_j = decay x_{j-1} + u_j
+                skews = ar1(num, den, u, 1)  # the states x_j = decay x_{j-1} + u_j
             else:  # the child ran rows 0..s-1
                 s, slot = drawer.take(k, done + k >= n_steps)
                 np.multiply(slot[s:, 1:], noise_std[s:], out=u[s:, 1:])
                 u[s:, 0] = x[s:]
-                states = state_buf[:m * (k + 1)].reshape(m, k + 1)
-                states[:s] = slot[:s]
-                _ar1(den, u[s:], states[s:])
-                drawer.release(s, states[s:, -1])
-            skews = np.exp(states, out=skew_buf[:m * (k + 1)].reshape(m, k + 1))
+                skews = skew_buf[:m * (k + 1)].reshape(m, k + 1)
+                skews[:s] = slot[:s]
+                _ar1(den, u[s:], skews[s:])
+                drawer.release(s, skews[s:, -1])
+            x = skews[:, -1].copy()
+            np.exp(skews, out=skews)  # the states become the skews in place
             skews[:, 0] = a
             if (done + 1) * dt >= settle:  # the chunk's first time: all of it settled
                 skews[:, 1:] *= limit
@@ -759,9 +765,8 @@ def clock_chunks(params, dt: float, n_steps: int, rngs, chunk_steps: int):
             seg[:, :1] += tau[:, None]  # no column when k == 0
             np.cumsum(seg, axis=1, out=seg)
             u[:, 0] = tau  # u now holds the displays
-            x, a, tau = states[:, -1].copy(), skews[:, -1].copy(), u[:, -1].copy()
-            yield states[:, lead:], skews[:, lead:], u[:, lead:]
-            del states  # an in-process chunk's fresh states go before the next's
+            a, tau = skews[:, -1].copy(), u[:, -1].copy()
+            yield skews[:, lead:], u[:, lead:]
             done, lead = done + k, 1
     finally:
         if drawer is not None:
@@ -793,10 +798,9 @@ def simulate_clock(p: ClockParams, horizon: float, dt: float, seed: int) -> Cloc
     if not dt > 0:
         raise ValueError(f"step must be positive, got {dt!r}")
     n_steps = max(1, int(round(horizon / dt)))
-    (states, skews, displays), = clock_chunks(
-        [p], dt, n_steps, [np.random.default_rng(seed)], n_steps + 1)
-    return ClockTrajectory(dt=dt, states=states[0], skews=skews[0],
-                           displays=displays[0], seed=seed)
+    (skews, displays), = clock_chunks([p], dt, n_steps, [np.random.default_rng(seed)], n_steps + 1)
+    states = np.log(skews[0] / skew_normalizer(np.arange(n_steps + 1) * dt, p))
+    return ClockTrajectory(dt=dt, states=states, skews=skews[0], displays=displays[0], seed=seed)
 
 
 # Chunk of sample_displays: 32 768 points make each of the three live
@@ -834,8 +838,8 @@ def sample_displays(p: ClockParams, spacing: float, count: int, dt: float,
         raise ValueError(f"{count} windows of spacing {spacing!r} are {float(per) * count:.6g} "
                          f"steps of dt {dt!r}: they must stay below 2^53, an exact step count")
     kept, start = [], 0
-    for _, _, displays in clock_chunks([p], dt, per * count, [np.random.default_rng(seed)],
-                                       _DISPLAY_CHUNK_STEPS):
+    for _, displays in clock_chunks([p], dt, per * count, [np.random.default_rng(seed)],
+                                    _DISPLAY_CHUNK_STEPS):
         kept.append(displays[0, -start % per::per].copy())
         start += displays.shape[1]
     return np.concatenate(kept)

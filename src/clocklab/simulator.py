@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from clocklab.clocks import ClockParams, RelParams, _check_readout_noise, _forks, clock_chunks
+from clocklab.clocks import ClockParams, RelParams, _check_readout_noise, clock_chunks
 from clocklab.measurement import (
     MAX_TIME,
     DelayModel,
@@ -216,6 +216,16 @@ def _check_decoded(line: str, ln: int) -> None:
                          f"is not {_TEXT_ENCODING}") from None
 
 
+def _text_lines(path):
+    """``(number, line)`` of each line of a UTF-8 text file from line 1;
+    ValueError names the line of a byte that is not UTF-8."""
+    with open(path, encoding=_TEXT_ENCODING, errors="surrogateescape") as fh:
+        for ln, line in enumerate(fh, 1):
+            if not line.isascii():
+                _check_decoded(line, ln)
+            yield ln, line
+
+
 def read_scenario(path) -> Scenario:
     """Parse a ``key = value`` scenario file with ``[section]`` headers,
     in UTF-8; a key set twice raises, naming both lines."""
@@ -223,34 +233,31 @@ def read_scenario(path) -> Scenario:
     epsilons: dict[int, float] = {}
     set_on: dict[str | int, int] = {}  # key, or epsilon's node -> line that set it
     section = ""
-    with open(path, encoding=_TEXT_ENCODING, errors="surrogateescape") as fh:
-        for ln, raw in enumerate(fh, 1):
-            if not raw.isascii():
-                _check_decoded(raw, ln)
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip()
-                section = "" if name == "scenario" else name + "."
-                continue
-            key, eq, val = line.partition("=")
-            if not eq:
-                raise ValueError(f"line {ln}: expected `key = value`, got {line!r}")
-            key = section + key.strip()
-            val = val.strip()
-            is_epsilon = key.startswith("epsilon_")
-            if not (is_epsilon or key in _SCENARIO_KEYS or key in _DELAY_KEYS):
-                raise ValueError(f"unknown scenario key {key!r} (line {ln})")
-            try:  # an epsilon is set per node: epsilon_01 is epsilon_1
-                target = int(key[len("epsilon_"):]) if is_epsilon else key
-                value = float(val) if is_epsilon else _parse_value(key, val)
-            except ValueError:
-                raise ValueError(f"line {ln}: bad value for {key!r}: {val!r}") from None
-            if target in set_on:
-                raise ValueError(f"line {ln}: key {key!r} already set on line {set_on[target]}")
-            set_on[target] = ln
-            (epsilons if is_epsilon else values)[target] = value
+    for ln, raw in _text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            section = "" if name == "scenario" else name + "."
+            continue
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise ValueError(f"line {ln}: expected `key = value`, got {line!r}")
+        key = section + key.strip()
+        val = val.strip()
+        is_epsilon = key.startswith("epsilon_")
+        if not (is_epsilon or key in _SCENARIO_KEYS or key in _DELAY_KEYS):
+            raise ValueError(f"unknown scenario key {key!r} (line {ln})")
+        try:  # an epsilon is set per node: epsilon_01 is epsilon_1
+            target = int(key[len("epsilon_"):]) if is_epsilon else key
+            value = float(val) if is_epsilon else _parse_value(key, val)
+        except ValueError:
+            raise ValueError(f"line {ln}: bad value for {key!r}: {val!r}") from None
+        if target in set_on:
+            raise ValueError(f"line {ln}: key {key!r} already set on line {set_on[target]}")
+        set_on[target] = ln
+        (epsilons if is_epsilon else values)[target] = value
     for req in ("nodes", "edges", "alpha", "delay.kind", "delay.mean"):
         if req not in values:
             raise ValueError(f"missing required scenario key {req!r}")
@@ -739,19 +746,11 @@ class ProtocolMachine:
 # _CHUNK_STEPS up to 64 clocks; beyond that, fewer, so that a chunk array
 # holds about _CHUNK_VALUES values (2 MiB) whatever the node count; and
 # never fewer than 1 024 (reached at 256 clocks), below which the
-# per-chunk cost shows in the run time.  A batch whose normals a forked
-# child draws (see clock_chunks) takes half that, floor included: the
-# child's ring holds two more chunk arrays, and the per-row draw loop,
-# whose cost grows with the chunk count, runs in the child, as does the
-# recursion of a share of the rows that it sets chunk by chunk.  Drawn
-# in this process, 300 clocks at the half width ran line300's Hybrid and
-# MBCSP 5-8 % slower (0 of 12 alternating rounds faster, one CPU).  So
-# 10 clocks take 4 096 slots, 100 clocks 2 621 (1 310 forked), and 300
-# or 1 001 clocks 1 024 (512 forked): a 300-clock chunk array is
-# 300 x 1 025 values, 2.46 MB, or forked 300 x 513, 1.23 MB, beside a
-# ring of 2 x 300 x 513.  The loop keeps no chunk's states, so at most
-# three chunk arrays are alive in this process at any time.  No value
-# depends on the width (see clock_chunks).
+# per-chunk cost shows in the run time.  So 10 clocks take 4 096 slots,
+# 100 clocks 2 621, and 300 or 1 001 clocks 1 024: a 300-clock chunk
+# array is 300 x 1 025 values, 2.46 MB.  A batch that forks narrows its
+# chunks itself (see clock_chunks).  At most three chunk arrays are alive
+# in this process at any time.  No value depends on the width.
 _CHUNK_STEPS = 4096
 _CHUNK_VALUES = 2**18
 # Delays drawn at once (see draw_delay: any block size gives the same
@@ -760,12 +759,8 @@ _CHUNK_VALUES = 2**18
 _DELAY_BLOCK = 256
 
 
-def _chunk_width(clocks: int, noisy: int, n_slots: int) -> int:
-    """Slots per engine chunk for a batch of ``clocks`` clocks, ``noisy``
-    of them noisy, over ``n_slots`` slots."""
-    forked = min(_CHUNK_STEPS, max(512, _CHUNK_VALUES // 2 // clocks))
-    if _forks(noisy, n_slots, forked):
-        return forked
+def _chunk_width(clocks: int) -> int:
+    """Slots per engine chunk for a batch of ``clocks`` clocks."""
     return min(_CHUNK_STEPS, max(1024, _CHUNK_VALUES // clocks))
 
 
@@ -802,8 +797,7 @@ def run_scenario(sc: Scenario):
     # (slots start..stop-1) is held at a time.
     n_slots = max(1, int(round(sc.horizon / sc.dt)))
 
-    width = _chunk_width(len(sc.params), sum(p.epsilon > 0 for p in sc.params), n_slots)
-    clocks = clock_chunks(sc.params, sc.dt, n_slots, clock_rngs, width)
+    clocks = clock_chunks(sc.params, sc.dt, n_slots, clock_rngs, _chunk_width(len(sc.params)))
     start = stop = 0
     dlinks = sc.directed_links
     machine = ProtocolMachine(sc)
@@ -869,7 +863,7 @@ def run_scenario(sc: Scenario):
             if slot > n_slots:
                 break
             while slot >= stop:
-                skews, displays = next(clocks)[1:]  # the states are never read
+                skews, displays = next(clocks)
                 start, stop = stop, stop + displays.shape[1]
             arrivals, sends, starts = [], [], []
             while heap and heap[0][0] == slot:

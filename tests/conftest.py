@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from clocklab import clocks
-from clocklab.clocks import ClockParams, clock_chunks
+from clocklab.clocks import ClockParams, clock_chunks, skew_normalizer
 
 
 def batch_paths(p: ClockParams, times, n_paths: int, dt: float, seed: int,
@@ -22,7 +22,8 @@ def batch_paths(p: ClockParams, times, n_paths: int, dt: float, seed: int,
     Returns a dict ``t -> (states, skews, displays)`` of arrays of length
     ``n_paths``.  Paths are generated in blocks of ``chunk`` by the
     library's own :func:`~clocklab.clocks.clock_chunks`, each block as
-    one chunk of the whole grid.
+    one chunk of the whole grid; their states are derived from the skews
+    as :func:`~clocklab.clocks.simulate_clock` derives them.
     """
     times = sorted(times)
     n_steps = int(round(times[-1] / dt))
@@ -31,12 +32,13 @@ def batch_paths(p: ClockParams, times, n_paths: int, dt: float, seed: int,
         raise ValueError("requested times collide on the grid")
     rng = np.random.default_rng(seed)
     out = {t: [] for t in times}
+    c = skew_normalizer(np.arange(n_steps + 1) * dt, p)
     done = 0
     while done < n_paths:
         m = min(chunk, n_paths - done)
-        (states, skews, displays), = clock_chunks([p] * m, dt, n_steps, [rng] * m, n_steps + 1)
+        (skews, displays), = clock_chunks([p] * m, dt, n_steps, [rng] * m, n_steps + 1)
         for k, t in record.items():
-            out[t].append((states[:, k].copy(), skews[:, k].copy(),
+            out[t].append((np.log(skews[:, k] / c[k]), skews[:, k].copy(),
                            displays[:, k].copy()))
         done += m
     return {

@@ -114,6 +114,7 @@ except ImportError as exc:
 """
 
 
+@pytest.mark.scipy_floor
 def test_only_clock_generation_needs_the_ar1_kernel():
     # A scipy without scipy.signal._sigtools still imports the package and
     # prints the help; generating a clock raises the ImportError.
@@ -147,6 +148,7 @@ print(" ".join(m for m in sys.modules if m == "scipy.signal" or m.startswith("sc
 """
 
 
+@pytest.mark.scipy_floor
 def test_cli_and_uniform_runs_load_neither_scipy_signal_nor_stats():
     # A fresh process: the test session itself has imported both.
     src = str(Path(clocklab.__file__).resolve().parent.parent)
@@ -587,6 +589,18 @@ def test_fit_rejects_malformed_curve(tmp_path, capsys):
     bad.write_text("T,sigma2\n0.1,fast\n")
     assert main(["fit", str(bad)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("fit", b"T,sigma2\n0.1,0.5\n0.2,\xff0.4\n"),
+    ("smooth", b"i,j,value\n0,1,1.0\n1,2,\xff0.5\n"),
+])
+def test_fit_and_smooth_name_the_line_of_an_undecodable_byte(tmp_path, capsys, command, text):
+    # Read as UTF-8 whatever the locale, as scenarios and traces are.
+    path = tmp_path / "input.csv"
+    path.write_bytes(text)
+    assert main([command, str(path)]) == 2
+    assert "line 3: byte 0xff at column 5 is not utf-8" in capsys.readouterr().err
 
 
 def test_fit_rejects_a_start_count_out_of_range_before_allocating(tmp_path, capsys):

@@ -230,6 +230,7 @@ def test_sample_displays_chunking_invariance(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.scipy_floor
 def test_clock_chunks_mixed_batch_chunking_invariance():
     # Kinds interleaved across rows, one row or several at a time; each
     # row draws from its own stream, so every chunking sees the same normals.
@@ -257,37 +258,43 @@ def check_chunking_invariance(params):
             assert got.tobytes() == ref.tobytes(), chunk_steps
 
 
+@pytest.mark.scipy_floor
 def test_clock_chunks_shared_generator_draws_rows_in_turn():
     # One chunk of m clocks driven by [rng] * m is the recursion over
     # the normals of rng in turn: each noisy row takes the next k, and
-    # the noiseless row (epsilon = 0) takes none and stays zero.
+    # the noiseless row (epsilon = 0) takes none and stays at skew one.
     params, dt, k = [ClockParams(10.0, e) for e in (0.5, 1.0, 0.0, 2.0)], 1e-3, 300
     shared, ref = np.random.default_rng(21), np.random.default_rng(21)
-    (states, _, _), = clock_chunks(params, dt, k, [shared] * len(params), k + 1)
+    (skews, _), = clock_chunks(params, dt, k, [shared] * len(params), k + 1)
     u = np.zeros((len(params), k + 1))
     u[[0, 1, 3], 1:] = ref.standard_normal((3, k))
     u[:, 1:] *= np.array([[ou_transition(p, dt)[1]] for p in params])
     decay = ou_transition(params[0], dt)[0]
-    want = clocks._load_ar1_kernel()(np.array([1.0]), np.array([1.0, -decay]), u, 1)
-    assert states.tobytes() == want.tobytes()
+    want = np.exp(clocks._load_ar1_kernel()(np.array([1.0]), np.array([1.0, -decay]), u, 1))
+    want[:, 0] = 1.0
+    t = np.arange(1, k + 1) * dt
+    for r in (0, 1, 3):
+        want[r, 1:] *= skew_normalizer(t, params[r])
+    assert skews.tobytes() == want.tobytes()
     assert shared.random() == ref.random()
 
 
+@pytest.mark.scipy_floor
 def test_clock_chunks_noiseless_row_draws_nothing():
     # The reference clock's row leaves its generator untouched and holds
-    # X = +0.0 and a = 1.0 exactly, before and after the settle time.
+    # a = 1.0 exactly, before and after the settle time.
     params, dt, n_steps = [ClockParams(10.0, e) for e in (1.0, 0.0, 0.5)], 1e-3, 3000
     rngs = [np.random.default_rng(s) for s in range(len(params))]
     chunks = [[a.copy() for a in chunk]  # the next chunk overwrites this one
               for chunk in clock_chunks(params, dt, n_steps, rngs, 700)]
-    states, skews, displays = (np.concatenate(arrays, axis=1) for arrays in zip(*chunks))
-    assert states.shape == (3, n_steps + 1)
-    assert states[1].tobytes() == np.zeros(n_steps + 1).tobytes()
+    skews, displays = (np.concatenate(arrays, axis=1) for arrays in zip(*chunks))
+    assert skews.shape == (3, n_steps + 1)
     assert np.all(skews[1] == 1.0)
     assert rngs[1].random() == np.random.default_rng(1).random()
     assert np.all(np.diff(displays[1]) > 0)
 
 
+@pytest.mark.scipy_floor
 def test_clock_chunks_needs_one_generator_per_clock():
     rng = np.random.default_rng(0)
     for rngs in ([], [rng], [rng] * 3):
@@ -295,6 +302,7 @@ def test_clock_chunks_needs_one_generator_per_clock():
             next(clock_chunks([P10_1] * 2, 1e-3, 10, rngs, 4))
 
 
+@pytest.mark.scipy_floor
 @pytest.mark.parametrize("chunk_steps", [1, 7, 77])
 def test_forked_sample_displays_are_the_in_process_ones(monkeypatch, forks, chunk_steps):
     monkeypatch.setattr(clocks, "_DISPLAY_CHUNK_STEPS", chunk_steps)
@@ -306,6 +314,7 @@ def test_forked_sample_displays_are_the_in_process_ones(monkeypatch, forks, chun
     assert len(forks) == 1 and no_child_left()
 
 
+@pytest.mark.scipy_floor
 def test_forked_draws_leave_each_generator_where_in_process_draws_do(monkeypatch, forks):
     # One generator shared by every row, as batch_paths passes it, and a
     # generator per row beside a noiseless row; chunks of a hundred steps
@@ -332,6 +341,7 @@ def test_forked_draws_leave_each_generator_where_in_process_draws_do(monkeypatch
     assert len(forks) == len(batches) * (1 + len(SPLIT_SCHEDULES)) and no_child_left()
 
 
+@pytest.mark.scipy_floor
 @pytest.mark.parametrize("s, waited, idle, m, want", [
     (0, False, 0.0, 16, 0),     # no idle time: no change
     (8, False, 2e-3, 16, 8),    # idle exactly as long as a step's 2 rows take: no change
@@ -351,6 +361,7 @@ def test_split_policy_steps_and_clamps(s, waited, idle, m, want):
     assert clocks._next_split(s, waited, idle, 1e-3, m) == want
 
 
+@pytest.mark.scipy_floor
 def test_a_batch_of_one_chunk_does_not_fork(forks):
     # The parent could only wait while the child drew its one chunk.
     params, rngs = [P10_1] * 2, [np.random.default_rng(0)] * 2
@@ -362,6 +373,7 @@ def test_a_batch_of_one_chunk_does_not_fork(forks):
     assert len(forks) == 1 and no_child_left()
 
 
+@pytest.mark.scipy_floor
 def test_pool_workers_draw_in_process(forks):
     # The sibling workers of ``simulate --jobs`` keep the other CPUs busy.
     context = multiprocessing.get_context("fork")
@@ -391,6 +403,7 @@ def test_killed_clock_drawer_makes_the_parent_raise(forks):
     assert no_child_left()
 
 
+@pytest.mark.scipy_floor
 def test_clock_drawer_killed_while_it_waits_for_a_carry_makes_the_parent_raise(
         monkeypatch, forks):
     # Splits none, then all: the child draws chunk 1, then waits for the
@@ -412,6 +425,7 @@ def test_clock_drawer_killed_while_it_waits_for_a_carry_makes_the_parent_raise(
     assert len(forks) == 1 and no_child_left()
 
 
+@pytest.mark.scipy_floor
 def test_no_clock_drawer_outlives_its_batch(forks):
     def batch():
         return clock_chunks([P10_1] * 2, 1e-3, 10_000, [np.random.default_rng(0)] * 2, 100)
@@ -430,6 +444,7 @@ def test_no_clock_drawer_outlives_its_batch(forks):
     assert len(forks) == 3
 
 
+@pytest.mark.scipy_floor
 @pytest.mark.parametrize("shape", [(1, 1), (1, 65_537), (10, 4_097), (300, 1_748), (300, 4_097)])
 def test_ar1_kernel_is_lfilter_bit_for_bit(shape):
     from scipy.signal import lfilter
@@ -443,6 +458,7 @@ def test_ar1_kernel_is_lfilter_bit_for_bit(shape):
         assert got.tobytes() == want.tobytes(), (shape, decay)
 
 
+@pytest.mark.scipy_floor
 def test_missing_ar1_kernel_is_an_import_error_naming_scipy(monkeypatch):
     import scipy
 
@@ -463,6 +479,7 @@ def test_sample_displays_memory_stays_at_a_few_chunks():
 # Moments
 # ---------------------------------------------------------------------------
 
+@pytest.mark.scipy_floor
 def test_skew_normalizer_settled_limit_is_bit_identical():
     # clock_chunks multiplies a chunk that starts at or past the settle
     # time by the limit exp(-eps^2 / (4 alpha)) instead of the formula;
@@ -479,6 +496,7 @@ def test_skew_normalizer_settled_limit_is_bit_identical():
             assert np.all(full[t >= settle] == limit), (alpha, epsilon)
 
 
+@pytest.mark.scipy_floor
 def test_skew_normalizer_float_path_matches_the_array_path():
     # 10^5 times on both sides of the settle time, each as a float and
     # inside an array.

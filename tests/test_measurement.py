@@ -32,6 +32,7 @@ FLOOR = 1e-6
 # Delay models
 # ---------------------------------------------------------------------------
 
+@pytest.mark.scipy_floor
 def test_constant_delay():
     m = DelayModel("constant", mean=3e-3)
     rng = np.random.default_rng(0)
@@ -60,6 +61,7 @@ def test_truncated_normal_delay():
     assert m.variance == pytest.approx(d.var(ddof=1), rel=0.05)
 
 
+@pytest.mark.scipy_floor
 @pytest.mark.parametrize("m, count", [
     (DelayModel("uniform", mean=5e-3, spread=5e-5), 2048),
     (DelayModel("truncated-normal", mean=5e-3, spread=3e-3), 1024),
@@ -90,6 +92,7 @@ def test_delay_model_validation():
 # Noise variance
 # ---------------------------------------------------------------------------
 
+@pytest.mark.scipy_floor
 def test_noise_variance_floor_for_constant_delays():
     m = DelayModel("constant", mean=5e-3)
     assert noise_variance(4e-4, m, floor=1e-6) == 1e-6

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import clocklab.simulator as simulator
 import clocklab.clocks as clocks_module
 from conftest import SPLIT_SCHEDULES, force_splits, in_process, no_child_left, traced_peak
-from clocklab.clocks import _MAX_STATE_VARIANCE, simulate_clock
+from clocklab.clocks import _MAX_STATE_VARIANCE, ClockParams, clock_chunks, simulate_clock
 from clocklab.measurement import DELAY_KINDS, DelayModel, offset_delay_estimate
 from clocklab.clocks import RelParams
 from clocklab.network import (
@@ -378,6 +378,7 @@ def tuple_metrics(samples, predictions):
     return cols
 
 
+@pytest.mark.scipy_floor
 def test_ledger_metrics_match_the_tuple_formula_bit_for_bit():
     # Lengths around the steps of numpy's summation: 8-way unrolling,
     # 128-value pairwise blocks and 8 192-value buffers.
@@ -727,6 +728,7 @@ def test_machine_rejects_unknown_link():
 # ----------------------------------------------------------------- end-to-end
 
 
+@pytest.mark.scipy_floor
 def test_zero_noise_constant_delay_is_exact():
     sc = two_node(epsilons=(0.0, 0.0),
                   delay=DelayModel(kind="constant", mean=5e-3))
@@ -782,15 +784,73 @@ def test_run_memory_does_not_grow_with_the_horizon():
     assert traced_peak(lambda: run_scenario(sc)) < 16 * 2**20
 
 
-def engine_chunks(clocks, n_slots):
+def no_drawer(*args):
+    """A clock drawer that fails to start: its batch draws in-process."""
+    raise OSError("no process to spare")
+
+
+def batch_chunks(clocks, n_steps, chunk_steps, monkeypatch, can_fork=None):
+    """Steps per chunk of a batch of ``clocks`` clocks (one of them
+    noiseless) over ``n_steps`` steps asked for at ``chunk_steps``, and
+    whether it forks, on this host or on one where ``can_fork`` says
+    whether batches may: its drawer fails to start, so the batch draws in
+    this process at the width it chose to fork at."""
+    params = [ClockParams(10.0, 0.0)] + [ClockParams(10.0, 1.0)] * (clocks - 1)
+    started = []
+
+    def drawer(*args):
+        started.append(args)
+        no_drawer()
+
+    with monkeypatch.context() as patch:
+        if can_fork is not None:
+            patch.setattr(clocks_module, "_can_fork", lambda: can_fork)
+        patch.setattr(clocks_module, "_Drawer", drawer)
+        chunks = clock_chunks(params, 1e-3, n_steps, [np.random.default_rng(0)] * clocks,
+                              chunk_steps)
+        return next(chunks)[0].shape[1], bool(started)  # chunk 0 holds points 0..width-1
+
+
+@pytest.mark.scipy_floor
+@pytest.mark.parametrize("clocks, width, forked_width", [
+    (5, 4096, 4096), (10, 4096, 4096), (100, 2621, 1310), (300, 1024, 512)])
+def test_engine_chunk_width_in_process_and_forked(monkeypatch, clocks, width, forked_width):
+    # The engine asks for about _CHUNK_VALUES values a chunk, 1 024 to
+    # 4 096 slots; a forked batch narrows that to about half the values,
+    # never below 512 slots, to fit its ring beside them.
+    assert _chunk_width(clocks) == width
+    for forks, want in ((False, width), (True, forked_width)):
+        assert batch_chunks(clocks, 2**20, width, monkeypatch, forks) == (want, forks)
+
+
+@pytest.mark.scipy_floor
+def test_sample_displays_chunk_width_in_process_and_forked(monkeypatch):
+    # One clock over 2^20 steps or more: its chunks are 32 768 points
+    # wide, forked or not.
+    widths = []
+
+    def spy(*args):
+        for chunk in clock_chunks(*args):
+            widths.append(chunk[1].shape[1])
+            yield chunk
+
+    monkeypatch.setattr(clocks_module, "clock_chunks", spy)
+    monkeypatch.setattr(clocks_module, "_Drawer", no_drawer)
+    for forks in (False, True):
+        monkeypatch.setattr(clocks_module, "_can_fork", lambda: forks)
+        widths.clear()
+        clocks_module.sample_displays(ClockParams(10.0, 1.0), 1.0, 1049, 1e-3, 0)
+        assert widths[0] == 32_768 and max(widths) == 32_768
+
+
+def engine_chunks(clocks, n_slots, monkeypatch):
     """Slots per engine chunk of a run of ``clocks`` clocks (one of them the
     noiseless reference) over ``n_slots`` slots, whether a forked child
     draws its normals, and the bytes of one chunk array and of the
     child's shared ring: its slots of one chunk array each, a carry of one
     value per clock and one split per slot (0 if the run draws them
     in-process)."""
-    width = _chunk_width(clocks, clocks - 1, n_slots)
-    forked = clocks_module._forks(clocks - 1, n_slots, width)
+    width, forked = batch_chunks(clocks, n_slots, _chunk_width(clocks), monkeypatch)
     slots = clocks_module._RING_SLOTS
     ring = 8 * (slots * clocks * (width + 1) + clocks + slots) if forked else 0
     return width, forked, clocks * (width + 1) * 8, ring
@@ -800,25 +860,25 @@ def own_state_peak(sc, monkeypatch):
     """Traced peak of ``run_scenario(sc)`` with 8-slot engine chunks: the
     run's own state, with next to nothing of its clocks."""
     with monkeypatch.context() as patch:
-        patch.setattr(simulator, "_chunk_width", lambda *args: 8)
+        patch.setattr(simulator, "_chunk_width", lambda clocks: 8)
         return traced_peak(lambda: run_scenario(sc))
 
 
 def test_run_holds_at_most_three_chunk_arrays(monkeypatch):
     # 100 clocks over 20 000 slots: the engine asks for chunks of about
-    # _CHUNK_VALUES values (100 x 2 622), or of half that (100 x 1 311)
-    # if a forked child draws the normals.  What they add to the run's
-    # own state is the three arrays of one chunk and the child's ring,
-    # with half an array to spare; the whole peak stays below the 7.34 MB
-    # of three and a half 100 x 2 622 arrays that bounded it before the
-    # ring.  A short run first makes the imports of a process's first run,
-    # outside the trace.
+    # _CHUNK_VALUES values (100 x 2 622), which a batch whose normals a
+    # forked child draws narrows to half that (100 x 1 311).  What they
+    # add to the run's own state is three arrays of one chunk in-process,
+    # or two and the child's ring forked, with half an array to spare; the
+    # whole peak stays below the 7.34 MB of three and a half 100 x 2 622
+    # arrays that bounded it before the ring.  A short run first makes the
+    # imports of a process's first run, outside the trace.
     sc = line(100, 0.2)
-    width, forked, array, ring = engine_chunks(100, 20_000)
+    width, forked, array, ring = engine_chunks(100, 20_000, monkeypatch)
     assert width == (1310 if forked else 2621)
     run_scenario(replace(sc, horizon=1e-3))
     peak = traced_peak(lambda: run_scenario(sc))
-    assert peak - own_state_peak(sc, monkeypatch) < 3.5 * array + ring
+    assert peak - own_state_peak(sc, monkeypatch) < (2.5 if forked else 3.5) * array + ring
     assert peak < 7.34e6
 
 
@@ -826,15 +886,16 @@ def test_run_chunk_memory_does_not_grow_with_the_node_count(monkeypatch):
     # 300 clocks over 5 000 slots: each chunk array is 300 x 1 025 values,
     # at the 1 024-slot floor, not 300 x 4 097; or 300 x 513 at the
     # 512-slot floor of a forked batch, whose ring slots are 300 x 513.
-    # The whole peak stays below the 8.61 MB of three and a half 300 x 1 025
+    # It holds three arrays in-process, two and the ring forked.  The
+    # whole peak stays below the 8.61 MB of three and a half 300 x 1 025
     # arrays that bounded it before the ring.  A short run first makes the
     # imports of a process's first run, outside the trace.
     sc = line(300, 0.05)
-    width, forked, array, ring = engine_chunks(300, 5_000)
+    width, forked, array, ring = engine_chunks(300, 5_000, monkeypatch)
     assert width == (512 if forked else 1024)
     run_scenario(replace(sc, horizon=1e-3))
     peak = traced_peak(lambda: run_scenario(sc))
-    assert peak - own_state_peak(sc, monkeypatch) < 3.5 * array + ring
+    assert peak - own_state_peak(sc, monkeypatch) < (2.5 if forked else 3.5) * array + ring
     assert peak < 8.61e6
 
 
@@ -846,6 +907,7 @@ def run_outputs(sc, tmp_path, name):
             rep.collisions, rep.out_of_order, rep.discarded)
 
 
+@pytest.mark.scipy_floor
 @pytest.mark.parametrize("proto", PROTOCOLS)
 def test_forked_clocks_give_the_in_process_run(tmp_path, monkeypatch, forks, proto):
     # The recursion split between the processes by the policy, and by
@@ -863,9 +925,12 @@ def test_forked_clocks_give_the_in_process_run(tmp_path, monkeypatch, forks, pro
 
 @pytest.mark.parametrize("proto", PROTOCOLS)
 def test_run_outputs_do_not_depend_on_the_chunk_width(tmp_path, monkeypatch, proto):
+    # A forked batch's 512-slot chunks against 4 096-slot ones, which it
+    # narrows only to what its value budget allows.
     sc = line(300, 0.05, proto)
     narrow = run_outputs(sc, tmp_path, "narrow.csv")
-    monkeypatch.setattr(simulator, "_chunk_width", lambda *args: _CHUNK_STEPS)
+    monkeypatch.setattr(simulator, "_chunk_width", lambda clocks: _CHUNK_STEPS)
+    monkeypatch.setattr(clocks_module, "_FORK_CHUNK_VALUES", 300 * _CHUNK_STEPS)
     assert run_outputs(sc, tmp_path, "wide.csv") == narrow
 
 
